@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import pipeline, qa_model
 from .corpus import DatasetError
-from .diffsum import DiffParseError
+from .diffsum import DiffParseError, describe_diff
 from .embed import prepare, tokenize
 from .pipeline import EmbeddingSpec, PipelineError, RunConfig
 
@@ -158,13 +158,17 @@ def _run_config(args) -> RunConfig:
     )
 
 
+def _emit(obj, out=None) -> None:
+    """Print ``obj`` as JSON; also write it to the file ``out`` if given."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+
+
 def cmd_ingest(args) -> int:
     ds, removed = pipeline.load_deduped(args.dataset)
-    summary = pipeline.dataset_summary(ds, removed)
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _emit(pipeline.dataset_summary(ds, removed), args.out)
     return 0
 
 
@@ -176,18 +180,16 @@ def cmd_crossval(args) -> int:
 
     result = pipeline.run_crossval(config, progress=progress)
     pipeline.write_crossval_outputs(result, args.out)
-    print(json.dumps({"mean": result.report["mean"],
-                      "statistics": result.report["statistics"]},
-                     indent=2, sort_keys=True))
+    _emit({"mean": result.report["mean"], "statistics": result.report["statistics"]})
     return 0
 
 
 def cmd_train(args) -> int:
     config = _run_config(args)
-    model, history, info = pipeline.run_train(config)
+    model, info = pipeline.run_train(config)
     qa_model.save_model(model, args.model_out)
-    print(json.dumps({"examples": info["examples"], "positives": info["positives"],
-                      "final_loss": history[-1]}, indent=2, sort_keys=True))
+    _emit({"examples": info["examples"], "positives": info["positives"],
+           "final_loss": info["loss_history"][-1]})
     return 0
 
 
@@ -220,7 +222,6 @@ def cmd_predict(args) -> int:
     if args.description is not None:
         description = args.description
     elif args.diff_file:
-        from .diffsum import describe_diff
         description = describe_diff(Path(args.diff_file).read_text(encoding="utf-8"))
     else:
         raise ValueError("predict needs --description or --diff-file")
@@ -232,56 +233,21 @@ def cmd_predict(args) -> int:
         label=0,
     )
     result = qa_model.predict(model, example, threshold)
-    print(json.dumps({
-        "score": result.score,
-        "label": result.label,
-        "verdict": "correct" if result.label == 1 else "incorrect",
-        "threshold": threshold,
-    }, indent=2, sort_keys=True))
+    _emit({"score": result.score, "label": result.label,
+           "verdict": "correct" if result.label == 1 else "incorrect",
+           "threshold": threshold})
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    from . import metrics, pairing
-
     model = qa_model.load_model(args.model)
     provider = _predict_provider(args, model)
-    ds, removed = pipeline.load_deduped(args.dataset)
-    examples = pairing.build_examples(ds, _option(args, "pair_seed", 0))
-    if not examples:
-        raise ValueError("dataset yields no labeled examples")
-    scores = pipeline.score_examples(model, examples, provider)
-    rows = [(ex.patch_id, ex.bug_id, ex.label, float(s))
-            for ex, s in zip(examples, scores)]
-    scored = [(row[3], row[2]) for row in rows]
-    sweep = metrics.threshold_sweep(scored, _sweep_thresholds(args))
-    threshold = _option(args, "threshold", 0.5)
-    cm = metrics.confusion_at(scored, threshold)
-    report = {
-        "config": {
-            "dataset": str(args.dataset),
-            "model": str(args.model),
-            "pair_seed": _option(args, "pair_seed", 0),
-            "threshold": threshold,
-        },
-        "at_threshold": {
-            "tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn,
-            "plus_recall": pipeline._metric_or_none(metrics.plus_recall, cm),
-            "minus_recall": pipeline._metric_or_none(metrics.minus_recall, cm),
-            "f1": pipeline._metric_or_none(metrics.f1, cm),
-        },
-        "sweep": sweep.rows(),
-        "statistics": {
-            "auc": sweep.auc,
-            "examples": len(examples),
-            "duplicates_removed": removed,
-        },
-    }
+    report, rows = pipeline.run_evaluate(_run_config(args), model, provider, args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_json(report, out / "report.json")
     pipeline.write_scores_csv(rows, out / "scores.csv")
-    print(json.dumps(report["at_threshold"], indent=2, sort_keys=True))
+    _emit(report["at_threshold"])
     return 0
 
 
@@ -291,27 +257,46 @@ def cmd_hypothesis(args) -> int:
     provider = spec.build()
     report = pipeline.run_hypothesis(ds, provider, _option(args, "pair_seed", 0))
     report["embedding"] = spec.describe()
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _emit(report, args.out)
     return 0
+
+
+# JSON types a config value may take, by the argparse type of its option.
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 None: (str, "a string")}
+
+
+def _config_values(path, option_types: dict) -> dict:
+    """Config-file values keyed by option name. A value for an option of the
+    subcommand must have that option's type; JSON true is no number, and
+    ``thresholds`` may also be a list of numbers."""
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"config: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError("config: expected a JSON object")
+    out = {key.replace("-", "_"): value for key, value in values.items()}
+    for name, value in out.items():
+        if name not in option_types:
+            continue
+        (accepted, expected), items = _CONFIG_TYPES[option_types[name]], [value]
+        if name == "thresholds" and isinstance(value, list):
+            accepted, expected, items = (int, float), "a list of numbers", value
+        if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
+            raise ValueError(f"config: {name} must be {expected}, not {json.dumps(value)}")
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: config: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(values, dict):
-            print("error: config: expected a JSON object", file=sys.stderr)
-            return 1
-        args._config_values = {k.replace("-", "_"): v for k, v in values.items()}
     try:
+        if args.config:
+            commands = next(a for a in parser._actions
+                            if isinstance(a, argparse._SubParsersAction))
+            option_types = {a.dest: a.type for a in commands.choices[args.command]._actions}
+            args._config_values = _config_values(args.config, option_types)
         return args.func(args)
     except (DatasetError, DiffParseError, PipelineError, qa_model.TrainingError,
             ValueError, OSError) as exc:

@@ -35,9 +35,6 @@ class TokenSequence:
     tokens: tuple[str, ...]
     truncated: bool = False
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass
 class SequenceMatrix:

@@ -166,9 +166,6 @@ class FoldPlan:
     seed: int
     assignments: dict[str, int]
 
-    def group_of(self, bug_id: str) -> int:
-        return self.assignments[bug_id]
-
     def to_json(self) -> str:
         return json.dumps(
             {"seed": self.seed, "k": self.k, "assignments": self.assignments},

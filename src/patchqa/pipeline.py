@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ __all__ = [
     "load_deduped",
     "mismatch_ablation",
     "run_crossval",
+    "run_evaluate",
     "run_hypothesis",
     "run_train",
     "score_examples",
@@ -90,23 +92,13 @@ class RunConfig:
     thresholds: tuple[float, ...] = DEFAULT_SWEEP
 
     def describe(self) -> dict:
-        return {
-            "dataset": str(self.dataset),
-            "embedding": self.embedding.describe(),
-            "model": asdict(self.model),
-            "k": self.k,
-            "fold_seed": self.fold_seed,
-            "pair_seed": self.pair_seed,
-            "threshold": self.threshold,
-            "thresholds": list(self.thresholds),
-        }
+        return {**asdict(self), "dataset": str(self.dataset),
+                "embedding": self.embedding.describe(), "thresholds": list(self.thresholds)}
 
 
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(f"{name}: {exc}") from exc
 
@@ -118,31 +110,36 @@ def load_deduped(path) -> tuple[corpus.Dataset, int]:
     return deduped, len(ds.patches) - len(deduped.patches)
 
 
+def _load_examples(dataset, pair_seed: int) -> tuple[list[pairing.QaExample], int]:
+    """Ingest, deduplicate and pair a dataset file; returns (examples,
+    duplicates removed). A dataset without labeled examples is an error."""
+    ds, removed = _stage("ingest", load_deduped, dataset)
+    examples = _stage("pairing", pairing.build_examples, ds, pair_seed)
+    if not examples:
+        raise PipelineError("pairing: dataset yields no labeled examples")
+    return examples, removed
+
+
 def dataset_summary(ds: corpus.Dataset, duplicates_removed: int) -> dict:
-    by_label: dict[str, int] = {}
-    by_origin: dict[str, int] = {}
-    by_source: dict[str, int] = {}
-    for patch in ds.patches.values():
-        by_label[patch.label.value] = by_label.get(patch.label.value, 0) + 1
-        by_origin[patch.origin.wire()] = by_origin.get(patch.origin.wire(), 0) + 1
-    for desc in ds.descriptions.values():
-        by_source[desc.source.value] = by_source.get(desc.source.value, 0) + 1
+    patches, descriptions = ds.patches.values(), ds.descriptions.values()
     return {
         "bugs": len(ds.bugs),
-        "patches": {"total": len(ds.patches), "by_label": by_label, "by_origin": by_origin},
-        "descriptions": {"total": len(ds.descriptions), "by_source": by_source},
+        "patches": {"total": len(patches),
+                    "by_label": dict(Counter(p.label.value for p in patches)),
+                    "by_origin": dict(Counter(p.origin.wire() for p in patches))},
+        "descriptions": {"total": len(descriptions),
+                         "by_source": dict(Counter(d.source.value for d in descriptions))},
         "duplicates_removed": duplicates_removed,
     }
 
 
 def vectorize_examples(examples, provider, max_seq_len: int) -> list[qa_model.BatchExample]:
-    out = []
-    for ex in examples:
-        bug_matrix = embed.prepare(embed.tokenize(ex.bug_text), provider, max_seq_len)
-        desc_matrix = embed.prepare(embed.tokenize(ex.description_text), provider, max_seq_len)
-        out.append(qa_model.BatchExample(bug=bug_matrix, description=desc_matrix,
-                                         label=ex.label))
-    return out
+    def matrix(text):
+        return embed.prepare(embed.tokenize(text), provider, max_seq_len)
+
+    return [qa_model.BatchExample(bug=matrix(ex.bug_text),
+                                  description=matrix(ex.description_text), label=ex.label)
+            for ex in examples]
 
 
 def score_examples(model: qa_model.QaModel, examples, provider) -> np.ndarray:
@@ -157,7 +154,6 @@ class FoldOutcome:
     test_examples: list  # pairing.QaExample, aligned with scores
     test_batch: list     # qa_model.BatchExample, aligned with scores
     scores: np.ndarray
-    history: list[float]
 
 
 @dataclass
@@ -168,24 +164,13 @@ class CrossvalResult:
     folds: list[FoldOutcome]
 
 
-def _metric_or_none(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError:
-        return None
+def _score_rows(examples, scores) -> list[tuple[str, str, int, float]]:
+    return [(ex.patch_id, ex.bug_id, ex.label, float(s)) for ex, s in zip(examples, scores)]
 
 
-def _fold_metrics(fold: int, scored, threshold: float, n_train: int) -> dict:
-    cm = metrics.confusion_at(scored, threshold)
-    return {
-        "fold": fold,
-        "train_examples": n_train,
-        "test_examples": len(scored),
-        "auc": _metric_or_none(metrics.auc, scored),
-        "f1": _metric_or_none(metrics.f1, cm),
-        "plus_recall": _metric_or_none(metrics.plus_recall, cm),
-        "minus_recall": _metric_or_none(metrics.minus_recall, cm),
-    }
+def _scored(rows) -> list[tuple[float, int]]:
+    """(score, label) pairs of score rows, as the metrics take them."""
+    return [(score_value, label) for _, _, label, score_value in rows]
 
 
 def _mean_over_folds(per_fold: list[dict]) -> dict:
@@ -201,12 +186,10 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
 
     Trains one model per fold on the other k-1 groups, scores the held-out
     group, and assembles the report: per-fold metrics at the operating
-    threshold, their mean, a pooled threshold sweep and pooled statistics.
+    threshold with the fold's loss per epoch, their mean, a pooled threshold
+    sweep and pooled statistics.
     """
-    ds, removed = _stage("ingest", load_deduped, config.dataset)
-    examples = _stage("pairing", pairing.build_examples, ds, config.pair_seed)
-    if not examples:
-        raise PipelineError("pairing: dataset yields no labeled examples")
+    examples, removed = _load_examples(config.dataset, config.pair_seed)
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
                   config.fold_seed)
@@ -220,33 +203,32 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     for group in range(config.k):
         if progress is not None:
             progress(group, config.k)
-        train_idx = [i for i, ex in enumerate(examples)
-                     if plan.assignments[ex.bug_id] != group]
-        test_idx = [i for i, ex in enumerate(examples)
-                    if plan.assignments[ex.bug_id] == group]
+        in_test = [plan.assignments[ex.bug_id] == group for ex in examples]
+        train_batch = [b for b, test in zip(batch, in_test) if not test]
         fold_model = qa_model.QaModel.create(config.model, provider.dim, metadata)
         history: list[float] = []
-        if train_idx:
+        if train_batch:
             _, history = _stage(f"training fold {group}", qa_model.train,
-                                fold_model, [batch[i] for i in train_idx])
-        test_batch = [batch[i] for i in test_idx]
+                                fold_model, train_batch)
+        test_examples = [ex for ex, test in zip(examples, in_test) if test]
+        test_batch = [b for b, test in zip(batch, in_test) if test]
         scores = qa_model.score_many(fold_model, test_batch)
-        scored = [(float(s), examples[i].label) for s, i in zip(scores, test_idx)]
-        per_fold.append(_fold_metrics(group, scored, config.threshold, len(train_idx)))
-        rows.extend(
-            (examples[i].patch_id, examples[i].bug_id, examples[i].label, float(s))
-            for s, i in zip(scores, test_idx)
-        )
-        folds.append(FoldOutcome(
-            fold=group,
-            model=fold_model,
-            test_examples=[examples[i] for i in test_idx],
-            test_batch=test_batch,
-            scores=scores,
-            history=history,
-        ))
-    pooled = [(row[3], row[2]) for row in rows]
-    sweep = _stage("evaluation", metrics.threshold_sweep, pooled, config.thresholds)
+        fold_rows = _score_rows(test_examples, scores)
+        sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
+        at = sweep.rows()[0]
+        per_fold.append({
+            "fold": group,
+            "train_examples": len(train_batch),
+            "test_examples": len(fold_rows),
+            "auc": sweep.auc,
+            "f1": at["f1"],
+            "plus_recall": at["plus_recall"],
+            "minus_recall": at["minus_recall"],
+            "loss_history": history,
+        })
+        rows += fold_rows
+        folds.append(FoldOutcome(group, fold_model, test_examples, test_batch, scores))
+    sweep = _stage("evaluation", metrics.threshold_sweep, _scored(rows), config.thresholds)
     positives = sum(1 for ex in examples if ex.label == 1)
     report = {
         "config": config.describe(),
@@ -297,11 +279,9 @@ def write_crossval_outputs(result: CrossvalResult, out_dir) -> dict[str, Path]:
 
 
 def run_train(config: RunConfig):
-    """Train one model on every labeled example; returns (model, history, info)."""
-    ds, removed = _stage("ingest", load_deduped, config.dataset)
-    examples = _stage("pairing", pairing.build_examples, ds, config.pair_seed)
-    if not examples:
-        raise PipelineError("pairing: dataset yields no labeled examples")
+    """Train one model on every labeled example; returns (model, info), where
+    info holds the example counts and the loss per epoch."""
+    examples, removed = _load_examples(config.dataset, config.pair_seed)
     provider = _stage("embedding", config.embedding.build)
     batch = _stage("embedding", vectorize_examples, examples, provider,
                    config.model.max_seq_len)
@@ -314,7 +294,36 @@ def run_train(config: RunConfig):
         "duplicates_removed": removed,
         "loss_history": history,
     }
-    return model, history, info
+    return model, info
+
+
+def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
+                 model_path) -> tuple[dict, list]:
+    """Score every labeled example of the dataset with a trained model;
+    returns the report (metrics at the threshold, the sweep, statistics) and
+    the score rows (patch_id, bug_id, label, score). Only the dataset, pair
+    seed and thresholds of ``config`` apply."""
+    examples, removed = _load_examples(config.dataset, config.pair_seed)
+    rows = _score_rows(examples, score_examples(model, examples, provider))
+    sweep = _stage("evaluation", metrics.threshold_sweep, _scored(rows), config.thresholds)
+    at_threshold = metrics.threshold_sweep(_scored(rows), (config.threshold,)).rows()[0]
+    del at_threshold["threshold"]
+    report = {
+        "config": {
+            "dataset": str(config.dataset),
+            "model": str(model_path),
+            "pair_seed": config.pair_seed,
+            "threshold": config.threshold,
+        },
+        "at_threshold": at_threshold,
+        "sweep": sweep.rows(),
+        "statistics": {
+            "auc": sweep.auc,
+            "examples": len(examples),
+            "duplicates_removed": removed,
+        },
+    }
+    return report, rows
 
 
 def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
@@ -325,12 +334,9 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
         by_bug.setdefault(patch.bug_id, []).append(patch)
     pairs = []  # (bug_id, bug_text, description_text)
     for bug_id, bug in ds.bugs.items():
-        text = None
-        for patch in by_bug.get(bug_id, []):
-            if patch.origin.is_developer:
-                text = pairing.resolve_description(ds, patch)
-                if text is not None:
-                    break
+        texts = (pairing.resolve_description(ds, patch) for patch in by_bug.get(bug_id, [])
+                 if patch.origin.is_developer)
+        text = next((t for t in texts if t is not None), None)
         if text is not None:
             pairs.append((bug_id, bug.text, text))
     if len(pairs) < 2:
@@ -356,19 +362,16 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
         "seed": seed,
         "u_statistic": study.u_statistic,
         "p_value": study.p_value,
-        "original": {
-            "median": study.original_median,
-            "mean": float(study.original_distances.mean()),
-            "distances": [float(x) for x in study.original_distances],
-        },
-        "random": {
-            "median": study.random_median,
-            "mean": float(study.random_distances.mean()),
-            "distances": [float(x) for x in study.random_distances],
-        },
+        "original": _distance_summary(study.original_median, study.original_distances),
+        "random": _distance_summary(study.random_median, study.random_distances),
         "original_stochastically_smaller":
             bool(study.original_median < study.random_median),
     }
+
+
+def _distance_summary(median: float, distances: np.ndarray) -> dict:
+    return {"median": median, "mean": float(distances.mean()),
+            "distances": [float(x) for x in distances]}
 
 
 def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
@@ -404,14 +407,12 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
             after.append(qa_model.score(fold.model, swapped))
     if not before:
         raise ValueError("no recalled positives available to ablate")
-    before_arr = np.asarray(before)
-    after_arr = np.asarray(after)
-    lost = int((after_arr < threshold).sum())
+    lost = sum(1 for value in after if value < threshold)
     return {
         "threshold": threshold,
         "recalled": len(before),
-        "mean_original": float(before_arr.mean()),
-        "mean_ablated": float(after_arr.mean()),
+        "mean_original": float(np.mean(before)),
+        "mean_ablated": float(np.mean(after)),
         "lost": lost,
         "lost_fraction": lost / len(before),
     }

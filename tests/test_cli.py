@@ -84,6 +84,7 @@ def test_crossval_outputs_and_fold_audit(small_corpus, tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert len(report["per_fold"]) == 10
+    assert all(len(fold["loss_history"]) == 2 for fold in report["per_fold"])
     assert report["config"]["fold_seed"] == 2
     assert report["config"]["pair_seed"] == 3
     assert report["config"]["model"]["seed"] == 1
@@ -191,7 +192,9 @@ def test_evaluate_writes_report(trained_checkpoint, small_corpus, tmp_path, caps
     ])
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert {"tp", "tn", "fp", "fn"} <= set(report["at_threshold"])
+    assert set(report["at_threshold"]) == {"tp", "tn", "fp", "fn", "plus_recall",
+                                           "minus_recall", "f1"}
+    assert set(report) == {"config", "at_threshold", "sweep", "statistics"}
     assert len(report["sweep"]) == 9
     assert (out_dir / "scores.csv").exists()
 
@@ -260,6 +263,45 @@ def test_config_file_supplies_defaults_and_flags_win(small_corpus, tmp_path, cap
     assert report["config"]["k"] == 4  # flag beats config file
     assert report["config"]["fold_seed"] == 11
     assert report["config"]["model"]["epochs"] == 1
+
+
+@pytest.mark.parametrize("values", [
+    {"epochs": "3"}, {"hidden": True}, {"lr": "fast"}, {"max-len": 16.5},
+    {"hash-dim": None}, {"embeddings": 7},
+])
+def test_config_value_of_wrong_type_fails_cleanly(small_corpus, tmp_path, capsys, values):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(values), encoding="utf-8")
+    code, _, err = run_cli(capsys, [
+        "--config", config_path, "train", "--dataset", small_corpus,
+        "--model-out", tmp_path / "m.ckpt",
+    ])
+    assert code == 1
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_config_thresholds_may_be_a_list(small_corpus, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"thresholds": [0.3, 0.6], "k": 3}), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(capsys, [
+        "--config", config_path, "crossval", "--dataset", small_corpus, "--out", out_dir,
+        *FAST_MODEL,
+    ])
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [row["threshold"] for row in report["sweep"]] == [0.3, 0.6]
+
+
+def test_corrupt_checkpoint_fails_cleanly(trained_checkpoint, capsys):
+    blob = trained_checkpoint.read_bytes()
+    trained_checkpoint.write_bytes(blob[:-8])
+    code, _, err = run_cli(capsys, ["predict", "--model", trained_checkpoint,
+                                    "--bug-text", "alpha", "--description", "beta"])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tensor bytes" in err
 
 
 def test_stage_tagged_error_from_pairing(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from patchqa.qa_model import (
     predict,
     save_model,
     score,
+    score_many,
     train,
 )
 
@@ -201,6 +204,16 @@ def test_scores_live_inside_the_sigmoid_cosine_band():
     for _ in range(200):
         s = score(model, random_example(rng, model))
         assert SCORE_FLOOR - 1e-12 <= s <= SCORE_CEILING + 1e-12
+
+
+def test_batched_scores_equal_single_scores():
+    rng = np.random.default_rng(18)
+    model = make_model(dim=6, hidden=4, max_len=9)
+    lengths = [(1, 9), (9, 1), (3, 5), (7, 7), (2, 8), (5, 3), (0, 4)]
+    examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in lengths]
+    batched = score_many(model, examples)
+    for i, ex in enumerate(examples):
+        assert abs(batched[i] - score(model, ex)) <= 1e-12
 
 
 def test_cosine_orthogonal_gives_half_score():
@@ -431,6 +444,52 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     rng = np.random.default_rng(17)
     ex = random_example(rng, model)
     assert score(loaded, ex) == score(model, ex)
+
+
+def rewrite_checkpoint(blob: bytes, edit_header=None, tail=None) -> bytes:
+    """A checkpoint with its header changed by ``edit_header`` and/or its
+    tensor bytes replaced by ``tail(tensor_bytes)``."""
+    magic = qa_model._CHECKPOINT_MAGIC
+    start = len(magic) + 8
+    end = start + int.from_bytes(blob[len(magic):start], "little")
+    header = json.loads(blob[start:end])
+    if edit_header is not None:
+        edit_header(header)
+    text = json.dumps(header).encode("utf-8")
+    data = blob[end:] if tail is None else tail(blob[end:])
+    return magic + len(text).to_bytes(8, "little") + text + data
+
+
+def set_nan(data: bytes) -> bytes:
+    values = np.frombuffer(data, dtype="<f8").copy()
+    values[3] = np.nan
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("edit_header, tail, message", [
+    pytest.param(lambda h: h.pop("tensors"), None, "lacks 'tensors'", id="no-tensors"),
+    pytest.param(lambda h: h.pop("config"), None, "lacks 'config'", id="no-config"),
+    pytest.param(lambda h: h.pop("input_dim"), None, "lacks 'input_dim'", id="no-input-dim"),
+    pytest.param(lambda h: h["config"].update(dropout=0.5), None, "dropout",
+                 id="unknown-config-key"),
+    pytest.param(lambda h: h["config"].update(hidden_size="4"), None, "hidden_size",
+                 id="string-hidden-size"),
+    pytest.param(None, lambda data: data[:-4], "tensor bytes", id="short-read"),
+    pytest.param(None, lambda data: data + b"\0" * 8, "tensor bytes", id="trailing-bytes"),
+    pytest.param(lambda h: h["config"].update(hidden_size=2), None, "hidden_size 2",
+                 id="hidden-size-mismatch"),
+    pytest.param(lambda h: h.update(input_dim=5), None, "input_dim 5",
+                 id="input-dim-mismatch"),
+    pytest.param(lambda h: h["tensors"].reverse(), None, "do not match", id="tensor-order"),
+    pytest.param(None, set_nan, "non-finite", id="nan-weight"),
+])
+def test_checkpoint_validation_rejects_damaged_files(tmp_path, edit_header, tail, message):
+    model, _ = small_training_setup()
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    path.write_bytes(rewrite_checkpoint(path.read_bytes(), edit_header, tail))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(path)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
