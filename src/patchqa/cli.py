@@ -17,7 +17,6 @@ from pathlib import Path
 from . import pipeline, qa_model
 from .corpus import DatasetError
 from .diffsum import DiffParseError, describe_diff
-from .embed import prepare, tokenize
 from .pipeline import EmbeddingSpec, PipelineError, RunConfig
 
 
@@ -116,13 +115,14 @@ def _option(args, name: str, default):
     return getattr(args, "_config_values", {}).get(name, default)
 
 
-def _embedding_spec(args) -> EmbeddingSpec:
+def _embedding_spec(args, saved=None) -> EmbeddingSpec:
+    """Each field from its flag, else the config file, else ``saved`` (the
+    embedding object a checkpoint records, if any), else the default."""
+    base = EmbeddingSpec() if saved is None else EmbeddingSpec.from_dict(saved)
     path = _option(args, "embeddings", None)
-    seed = _option(args, "hash_seed", 0)
-    dim = _option(args, "hash_dim", 32)
-    if path:
-        return EmbeddingSpec(kind="file", path=str(path), seed=seed, dim=dim)
-    return EmbeddingSpec(kind="hash", dim=dim, seed=seed)
+    return EmbeddingSpec(kind="file" if path else base.kind, path=path or base.path,
+                         dim=_option(args, "hash_dim", base.dim),
+                         seed=_option(args, "hash_seed", base.seed))
 
 
 def _model_config(args) -> qa_model.ModelConfig:
@@ -194,14 +194,7 @@ def cmd_train(args) -> int:
 
 
 def _predict_provider(args, model: qa_model.QaModel):
-    if getattr(args, "embeddings", None) or getattr(args, "hash_seed", None) is not None \
-            or getattr(args, "hash_dim", None) is not None:
-        spec = _embedding_spec(args)
-    elif "embedding" in model.metadata:
-        spec = EmbeddingSpec.from_dict(model.metadata["embedding"])
-    else:
-        spec = EmbeddingSpec()
-    provider = spec.build()
+    provider = _embedding_spec(args, model.metadata.get("embedding")).build()
     if provider.dim != model.input_dim:
         raise ValueError(
             f"embedding dim {provider.dim} does not match model input dim "
@@ -226,12 +219,8 @@ def cmd_predict(args) -> int:
     else:
         raise ValueError("predict needs --description or --diff-file")
     threshold = _option(args, "threshold", 0.5)
-    max_len = model.config.max_seq_len
-    example = qa_model.BatchExample(
-        bug=prepare(tokenize(bug_text), provider, max_len),
-        description=prepare(tokenize(description), provider, max_len),
-        label=0,
-    )
+    example = pipeline.vectorize(bug_text, description, 0, provider,
+                                 model.config.max_seq_len)
     result = qa_model.predict(model, example, threshold)
     _emit({"score": result.score, "label": result.label,
            "verdict": "correct" if result.label == 1 else "incorrect",

@@ -33,7 +33,6 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9_#.]+")
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[str, ...]
-    truncated: bool = False
 
 
 @dataclass
@@ -137,13 +136,12 @@ def prepare(seq: TokenSequence, provider, max_seq_len: int) -> SequenceMatrix:
     if provider.dim <= 0:
         raise ValueError("provider dim must be positive")
     tokens = seq.tokens[:max_seq_len]
-    truncated = seq.truncated or len(seq.tokens) > max_seq_len
     rows = np.zeros((max_seq_len, provider.dim), dtype=np.float64)
     for i, token in enumerate(tokens):
         rows[i] = provider.lookup(token)
     mask = np.zeros(max_seq_len, dtype=np.float64)
     mask[: len(tokens)] = 1.0
-    return SequenceMatrix(rows=rows, mask=mask, truncated=truncated)
+    return SequenceMatrix(rows=rows, mask=mask, truncated=len(seq.tokens) > max_seq_len)
 
 
 def standardize(vectors) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "run_hypothesis",
     "run_train",
     "score_examples",
+    "vectorize",
     "vectorize_examples",
     "write_crossval_outputs",
     "write_json",
@@ -73,9 +74,18 @@ class EmbeddingSpec:
         return out
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "EmbeddingSpec":
-        return cls(kind=obj.get("kind", "hash"), dim=int(obj.get("dim", 32)),
-                   seed=int(obj.get("seed", 0)), path=obj.get("path"))
+    def from_dict(cls, obj) -> "EmbeddingSpec":
+        """The spec ``describe`` wrote; ValueError for any other value."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"embedding spec must be an object, not {obj!r}")
+        spec = cls(kind=obj.get("kind", "hash"), dim=obj.get("dim", 32),
+                   seed=obj.get("seed", 0), path=obj.get("path"))
+        for name, value in (("dim", spec.dim), ("seed", spec.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"embedding {name} must be an integer, not {value!r}")
+        if spec.path is not None and not isinstance(spec.path, str):
+            raise ValueError(f"embedding path must be a string, not {spec.path!r}")
+        return spec
 
 
 @dataclass
@@ -133,12 +143,18 @@ def dataset_summary(ds: corpus.Dataset, duplicates_removed: int) -> dict:
     }
 
 
-def vectorize_examples(examples, provider, max_seq_len: int) -> list[qa_model.BatchExample]:
-    def matrix(text):
-        return embed.prepare(embed.tokenize(text), provider, max_seq_len)
+def vectorize(bug_text: str, description_text: str, label: int, provider,
+              max_seq_len: int) -> qa_model.BatchExample:
+    """Model input for one text pair: both sides tokenized, embedded and
+    padded to ``max_seq_len``."""
+    return qa_model.BatchExample(
+        bug=embed.prepare(embed.tokenize(bug_text), provider, max_seq_len),
+        description=embed.prepare(embed.tokenize(description_text), provider, max_seq_len),
+        label=label)
 
-    return [qa_model.BatchExample(bug=matrix(ex.bug_text),
-                                  description=matrix(ex.description_text), label=ex.label)
+
+def vectorize_examples(examples, provider, max_seq_len: int) -> list[qa_model.BatchExample]:
+    return [vectorize(ex.bug_text, ex.description_text, ex.label, provider, max_seq_len)
             for ex in examples]
 
 
@@ -147,12 +163,20 @@ def score_examples(model: qa_model.QaModel, examples, provider) -> np.ndarray:
     return qa_model.score_many(model, batch)
 
 
+def _embed_examples(config: RunConfig, examples):
+    """Build the run's token vectors and vectorize every example; returns
+    (model inputs aligned with examples, input dim, checkpoint metadata)."""
+    provider = _stage("embedding", config.embedding.build)
+    batch = _stage("embedding", vectorize_examples, examples, provider,
+                   config.model.max_seq_len)
+    return batch, provider.dim, {"embedding": config.embedding.describe()}
+
+
 @dataclass
 class FoldOutcome:
     fold: int
     model: qa_model.QaModel
     test_examples: list  # pairing.QaExample, aligned with scores
-    test_batch: list     # qa_model.BatchExample, aligned with scores
     scores: np.ndarray
 
 
@@ -193,26 +217,22 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
                   config.fold_seed)
-    provider = _stage("embedding", config.embedding.build)
-    batch = _stage("embedding", vectorize_examples, examples, provider,
-                   config.model.max_seq_len)
-    metadata = {"embedding": config.embedding.describe()}
+    batch, input_dim, metadata = _embed_examples(config, examples)
+    vectors = dict(zip(examples, batch))
     per_fold = []
     folds = []
     rows: list[tuple[str, str, int, float]] = []
     for group in range(config.k):
         if progress is not None:
             progress(group, config.k)
-        in_test = [plan.assignments[ex.bug_id] == group for ex in examples]
-        train_batch = [b for b, test in zip(batch, in_test) if not test]
-        fold_model = qa_model.QaModel.create(config.model, provider.dim, metadata)
+        train_examples, test_examples = pairing.fold_split(examples, plan, group)
+        train_batch = [vectors[ex] for ex in train_examples]
+        fold_model = qa_model.QaModel.create(config.model, input_dim, metadata)
         history: list[float] = []
         if train_batch:
             _, history = _stage(f"training fold {group}", qa_model.train,
                                 fold_model, train_batch)
-        test_examples = [ex for ex, test in zip(examples, in_test) if test]
-        test_batch = [b for b, test in zip(batch, in_test) if test]
-        scores = qa_model.score_many(fold_model, test_batch)
+        scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples])
         fold_rows = _score_rows(test_examples, scores)
         sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
         at = sweep.rows()[0]
@@ -227,7 +247,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
             "loss_history": history,
         })
         rows += fold_rows
-        folds.append(FoldOutcome(group, fold_model, test_examples, test_batch, scores))
+        folds.append(FoldOutcome(group, fold_model, test_examples, scores))
     sweep = _stage("evaluation", metrics.threshold_sweep, _scored(rows), config.thresholds)
     positives = sum(1 for ex in examples if ex.label == 1)
     report = {
@@ -282,11 +302,8 @@ def run_train(config: RunConfig):
     """Train one model on every labeled example; returns (model, info), where
     info holds the example counts and the loss per epoch."""
     examples, removed = _load_examples(config.dataset, config.pair_seed)
-    provider = _stage("embedding", config.embedding.build)
-    batch = _stage("embedding", vectorize_examples, examples, provider,
-                   config.model.max_seq_len)
-    model = qa_model.QaModel.create(config.model, provider.dim,
-                                    {"embedding": config.embedding.describe()})
+    batch, input_dim, metadata = _embed_examples(config, examples)
+    model = qa_model.QaModel.create(config.model, input_dim, metadata)
     _, history = _stage("training", qa_model.train, model, batch)
     info = {
         "examples": len(examples),
@@ -398,11 +415,7 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
                 continue
             others = [b for b in bug_ids if b != ex.bug_id]
             wrong = others[int(rng.integers(len(others)))]
-            wrong_matrix = embed.prepare(embed.tokenize(bug_texts[wrong]), provider,
-                                         max_len)
-            swapped = qa_model.BatchExample(bug=wrong_matrix,
-                                            description=fold.test_batch[idx].description,
-                                            label=1)
+            swapped = vectorize(bug_texts[wrong], ex.description_text, 1, provider, max_len)
             before.append(float(fold.scores[idx]))
             after.append(qa_model.score(fold.model, swapped))
     if not before:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from patchqa import qa_model
 from patchqa.corpus import load_dataset
 
 
@@ -49,3 +50,17 @@ def tiny_dataset(tmp_path):
         description("P-1"),
     ])
     return load_dataset(path)
+
+
+def rewrite_checkpoint(blob: bytes, edit_header=None, tail=None) -> bytes:
+    """A checkpoint with its header changed by ``edit_header`` and/or its
+    tensor bytes replaced by ``tail(tensor_bytes)``."""
+    magic = qa_model._CHECKPOINT_MAGIC
+    start = len(magic) + 8
+    end = start + int.from_bytes(blob[len(magic):start], "little")
+    header = json.loads(blob[start:end])
+    if edit_header is not None:
+        edit_header(header)
+    text = json.dumps(header).encode("utf-8")
+    data = blob[end:] if tail is None else tail(blob[end:])
+    return magic + len(text).to_bytes(8, "little") + text + data

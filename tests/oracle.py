@@ -1,0 +1,64 @@
+"""Single-example reference math for the batched scorer in ``qa_model``.
+
+The model scores whole batches at once; these functions spell out one
+sequence, one attention row, one cosine and one loss at a time, so the tests
+can check the batched path against them and pin each step's properties.
+"""
+
+import math
+
+import numpy as np
+
+from patchqa import qa_model
+from patchqa.embed import SequenceMatrix
+
+
+def bilstm_forward(model: qa_model.QaModel, matrix) -> np.ndarray:
+    """Embed one (N, dim) sequence; row t concatenates both direction states."""
+    rows = matrix.rows if isinstance(matrix, SequenceMatrix) else np.asarray(matrix, float)
+    if rows.ndim != 2 or rows.shape[1] != model.input_dim:
+        raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
+    e, _ = qa_model._bilstm_run(model, rows[None])
+    return e[0]
+
+
+def attention_weights(e_b, xc_j, mask_b) -> np.ndarray:
+    """Softmax weights of one description position over bug-report rows.
+
+    Masked positions get weight 0; the remaining weights sum to 1. Computed
+    with max-subtraction for stability.
+    """
+    e_b = np.asarray(e_b, dtype=np.float64)
+    xc_j = np.asarray(xc_j, dtype=np.float64)
+    mask = np.asarray(mask_b, dtype=np.float64)
+    if e_b.ndim != 2 or e_b.shape[1] != xc_j.shape[0] or e_b.shape[0] != mask.shape[0]:
+        raise ValueError("dimension mismatch between e_b, xc_j and mask")
+    if not np.any(mask > 0):
+        raise ValueError("all positions are masked")
+    logits = np.where(mask > 0, e_b @ xc_j, -np.inf)
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum()
+
+
+def attention_apply(alpha, e_b) -> np.ndarray:
+    """Weighted sum of bug-report rows: att = sum_n alpha_n * e_b[n]."""
+    return np.asarray(alpha, dtype=np.float64) @ np.asarray(e_b, dtype=np.float64)
+
+
+def cosine_similarity(u, v) -> float:
+    """Cosine of two flat vectors; zero-norm inputs define the value as 0."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    denom = np.linalg.norm(u) * np.linalg.norm(v)
+    if denom == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(u, v) / denom, -1.0, 1.0))
+
+
+def loss(score_value: float, label: int) -> float:
+    """Binary cross-entropy for one score."""
+    if not 0.0 < score_value < 1.0:
+        raise ValueError("score must lie strictly inside (0, 1)")
+    if label not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    return float(-(label * math.log(score_value) + (1 - label) * math.log(1.0 - score_value)))

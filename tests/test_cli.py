@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patchqa import pipeline, qa_model, synth
 from patchqa.cli import main
 from patchqa.corpus import load_dataset
 from patchqa.pairing import FoldPlan
 
-from conftest import bug, description, patch, write_jsonl
+from conftest import bug, description, patch, rewrite_checkpoint, write_jsonl
 
 FAST_MODEL = ["--epochs", "2", "--hidden", "4", "--max-len", "16",
               "--batch", "32", "--hash-dim", "8"]
@@ -317,3 +321,139 @@ def test_stage_tagged_error_from_pairing(tmp_path, capsys):
     ])
     assert code != 0
     assert "pairing:" in err
+
+
+# --- which embedding predict and evaluate read ------------------------------------
+
+PAIR = ["--bug-text", "alpha0001 beta0001 gamma0001 failure observed",
+        "--description", "alpha0001 beta0001 gamma0001 fix"]
+
+
+def write_config(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return path
+
+
+def set_embedding(ckpt, embedding):
+    """Rewrite the checkpoint's recorded embedding; ``None`` removes it."""
+    def edit(header):
+        header["metadata"].pop("embedding")
+        if embedding is not None:
+            header["metadata"]["embedding"] = embedding
+    ckpt.write_bytes(rewrite_checkpoint(ckpt.read_bytes(), edit))
+
+
+def predict_score(capsys, ckpt, *flags, config=None):
+    prefix = ["--config", config] if config else []
+    code, out, err = run_cli(capsys, [*prefix, "predict", "--model", ckpt, *PAIR, *flags])
+    assert code == 0, err
+    return json.loads(out)["score"]
+
+
+def test_config_embedding_applies_to_a_checkpoint_without_one(
+        trained_checkpoint, small_corpus, tmp_path, capsys):
+    set_embedding(trained_checkpoint, None)
+    config = write_config(tmp_path, {"hash-dim": 8})
+    predict_score(capsys, trained_checkpoint, config=config)
+    code, _, err = run_cli(capsys, [
+        "--config", config, "evaluate", "--model", trained_checkpoint,
+        "--dataset", small_corpus, "--out", tmp_path / "eval", "--pair-seed", "3",
+    ])
+    assert code == 0, err
+
+
+def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_path, capsys):
+    saved = predict_score(capsys, trained_checkpoint)
+    config = write_config(tmp_path, {"hash-seed": 3})
+    from_config = predict_score(capsys, trained_checkpoint, config=config)
+    assert from_config != saved
+    # the checkpoint records dim 8, which --hash-seed alone must keep
+    assert from_config == predict_score(capsys, trained_checkpoint, "--hash-seed", "3")
+    assert saved == predict_score(capsys, trained_checkpoint, "--hash-seed", "0",
+                                  config=config)
+
+
+@pytest.mark.parametrize("embedding, message", [
+    ("hash", "embedding spec must be an object"),
+    ({"kind": "hash", "dim": "8", "seed": 0}, "embedding dim must be an integer"),
+    ({"kind": "hash", "dim": 8, "seed": True}, "embedding seed must be an integer"),
+    ({"kind": "hash", "dim": 8.0, "seed": 0}, "embedding dim must be an integer"),
+    ({"kind": "file", "dim": 8, "seed": 0, "path": 7}, "embedding path must be a string"),
+])
+def test_malformed_checkpoint_embedding_fails_cleanly(
+        trained_checkpoint, small_corpus, tmp_path, capsys, embedding, message):
+    set_embedding(trained_checkpoint, embedding)
+    out_dir = tmp_path / "eval"
+    for argv in (["predict", "--model", trained_checkpoint, *PAIR],
+                 ["evaluate", "--model", trained_checkpoint, "--dataset", small_corpus,
+                  "--out", out_dir]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert out == ""
+    assert not out_dir.exists()
+
+
+# --- checkpoint header fuzz through predict ---------------------------------------
+
+# Integers stay small: max_seq_len sizes the arrays predict allocates.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+DELETE = object()
+HEADER_PATHS = [
+    ("format",), ("input_dim",), ("config",), ("metadata",), ("tensors",),
+    ("tensors", 0), ("tensors", 0, "shape"), ("metadata", "embedding"),
+    *(("config", f.name) for f in fields(qa_model.ModelConfig)),
+    *(("metadata", "embedding", key) for key in ("kind", "dim", "seed", "path")),
+]
+
+
+def apply_edit(header, path, value) -> None:
+    """Set (or delete) the value at ``path``; skipped where the path is gone."""
+    node = header
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    last = path[-1]
+    if isinstance(node, dict) and value is DELETE:
+        node.pop(last, None)
+    elif isinstance(node, dict) or (isinstance(node, list) and isinstance(last, int)
+                                    and last < len(node) and value is not DELETE):
+        node[last] = value
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    model = qa_model.QaModel.create(qa_model.ModelConfig(max_seq_len=8, hidden_size=3), 8,
+                                    {"embedding": pipeline.EmbeddingSpec(dim=8).describe()})
+    qa_model.save_model(model, root / "base.ckpt")
+    return root, (root / "base.ckpt").read_bytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(HEADER_PATHS), st.just(DELETE) | JSON_VALUES),
+                min_size=1, max_size=3))
+def test_fuzzed_checkpoint_header_predicts_or_fails_cleanly(fuzz_base, edits):
+    root, blob = fuzz_base
+
+    def edit(header):
+        for path, value in edits:
+            apply_edit(header, path, value)
+
+    ckpt = root / "fuzzed.ckpt"
+    ckpt.write_bytes(rewrite_checkpoint(blob, edit))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(ckpt), *PAIR])
+    # An exception escaping main fails the test by itself.
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

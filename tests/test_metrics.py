@@ -193,6 +193,27 @@ def test_mww_direction():
     assert result.u_statistic == 16.0
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_mww_agrees_with_scipy(tied):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(31 + tied)
+    for _ in range(100):
+        n1, n2 = (int(n) for n in rng.integers(3, 40, size=2))
+        if tied:  # few distinct values, so most ranks are shared
+            a = rng.integers(0, 4, size=n1).astype(float)
+            b = rng.integers(1, 5, size=n2).astype(float)
+            if np.all(np.concatenate([a, b]) == a[0]):
+                continue
+        else:
+            a = rng.normal(size=n1)
+            b = rng.normal(loc=0.5, size=n2)
+        ours = mww_test(a, b)
+        ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic",
+                                 use_continuity=False)
+        assert ours.u_statistic == pytest.approx(ref.statistic, rel=1e-12)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12)
+
+
 # --- Levenshtein ------------------------------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -14,19 +13,17 @@ from patchqa.qa_model import (
     BatchExample,
     ModelConfig,
     QaModel,
-    attention_apply,
-    attention_weights,
     batch_loss_and_gradients,
-    bilstm_forward,
-    cosine_similarity,
     load_model,
-    loss,
     predict,
     save_model,
     score,
     score_many,
     train,
 )
+
+from conftest import rewrite_checkpoint
+from oracle import attention_apply, attention_weights, bilstm_forward, cosine_similarity, loss
 
 
 def make_model(dim=4, hidden=3, max_len=5, seed=7, **kwargs):
@@ -444,20 +441,6 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     rng = np.random.default_rng(17)
     ex = random_example(rng, model)
     assert score(loaded, ex) == score(model, ex)
-
-
-def rewrite_checkpoint(blob: bytes, edit_header=None, tail=None) -> bytes:
-    """A checkpoint with its header changed by ``edit_header`` and/or its
-    tensor bytes replaced by ``tail(tensor_bytes)``."""
-    magic = qa_model._CHECKPOINT_MAGIC
-    start = len(magic) + 8
-    end = start + int.from_bytes(blob[len(magic):start], "little")
-    header = json.loads(blob[start:end])
-    if edit_header is not None:
-        edit_header(header)
-    text = json.dumps(header).encode("utf-8")
-    data = blob[end:] if tail is None else tail(blob[end:])
-    return magic + len(text).to_bytes(8, "little") + text + data
 
 
 def set_nan(data: bytes) -> bytes:
