@@ -18,6 +18,7 @@ __all__ = [
     "MwwResult",
     "ThresholdSweep",
     "auc",
+    "check_thresholds",
     "confusion_at",
     "euclidean_distance_study",
     "f1",
@@ -234,15 +235,23 @@ def _maybe(fn, cm):
         return None
 
 
+def check_thresholds(thresholds) -> tuple[float, ...]:
+    """The thresholds as floats, if each lies in [0, 1] in ascending order."""
+    ts = tuple(float(t) for t in thresholds)
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise ValueError(f"thresholds must lie in [0, 1], not {list(ts)}")
+    if list(ts) != sorted(ts):
+        raise ValueError(f"thresholds must be sorted ascending, not {list(ts)}")
+    return ts
+
+
 def threshold_sweep(scored, thresholds) -> ThresholdSweep:
     """Confusion counts and recalls per threshold, plus the global AUC.
 
     +Recall is non-increasing and -Recall non-decreasing in the threshold.
     """
     pairs = list(scored)
-    ts = tuple(float(t) for t in thresholds)
-    if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
-        raise ValueError("thresholds must be sorted ascending")
+    ts = check_thresholds(thresholds)
     matrices = tuple(confusion_at(pairs, t) for t in ts)
     return ThresholdSweep(
         thresholds=ts,

@@ -182,8 +182,8 @@ class FoldPlan:
 def make_fold_plan(bug_ids, k: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle of the bug ids, then round-robin assignment."""
     ids = sorted(bug_ids)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if k < 2:
+        raise ValueError(f"k must be at least 2, not {k}")
     if k > len(ids):
         raise ValueError(f"k={k} exceeds the {len(ids)} available bugs")
     rng = np.random.default_rng(seed)

@@ -120,6 +120,12 @@ def load_deduped(path) -> tuple[corpus.Dataset, int]:
     return deduped, len(ds.patches) - len(deduped.patches)
 
 
+def _check_thresholds(config: RunConfig) -> None:
+    """Reject a bad operating threshold or sweep before any work is done."""
+    _stage("evaluation", metrics.check_thresholds, (config.threshold,))
+    _stage("evaluation", metrics.check_thresholds, config.thresholds)
+
+
 def _load_examples(dataset, pair_seed: int) -> tuple[list[pairing.QaExample], int]:
     """Ingest, deduplicate and pair a dataset file; returns (examples,
     duplicates removed). A dataset without labeled examples is an error."""
@@ -213,6 +219,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     threshold with the fold's loss per epoch, their mean, a pooled threshold
     sweep and pooled statistics.
     """
+    _check_thresholds(config)
+    config.model.validate()
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
@@ -228,10 +236,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         train_examples, test_examples = pairing.fold_split(examples, plan, group)
         train_batch = [vectors[ex] for ex in train_examples]
         fold_model = qa_model.QaModel.create(config.model, input_dim, metadata)
-        history: list[float] = []
-        if train_batch:
-            _, history = _stage(f"training fold {group}", qa_model.train,
-                                fold_model, train_batch)
+        _, history = _stage(f"training fold {group}", qa_model.train,
+                            fold_model, train_batch)
         scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples])
         fold_rows = _score_rows(test_examples, scores)
         sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
@@ -248,7 +254,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         })
         rows += fold_rows
         folds.append(FoldOutcome(group, fold_model, test_examples, scores))
-    sweep = _stage("evaluation", metrics.threshold_sweep, _scored(rows), config.thresholds)
+    sweep = metrics.threshold_sweep(_scored(rows), config.thresholds)
     positives = sum(1 for ex in examples if ex.label == 1)
     report = {
         "config": config.describe(),
@@ -320,9 +326,10 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     returns the report (metrics at the threshold, the sweep, statistics) and
     the score rows (patch_id, bug_id, label, score). Only the dataset, pair
     seed and thresholds of ``config`` apply."""
+    _check_thresholds(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     rows = _score_rows(examples, score_examples(model, examples, provider))
-    sweep = _stage("evaluation", metrics.threshold_sweep, _scored(rows), config.thresholds)
+    sweep = metrics.threshold_sweep(_scored(rows), config.thresholds)
     at_threshold = metrics.threshold_sweep(_scored(rows), (config.threshold,)).rows()[0]
     del at_threshold["threshold"]
     report = {

@@ -1,19 +1,21 @@
 """Bidirectional-LSTM attention scorer for bug-report/description pairs.
 
-Both input sequences run through one shared BiLSTM (a forward and a backward
-cell). Both sides are padded to ``max_seq_len``, so a batch's bug-report rows
-and description rows are stacked along the batch axis and take one BiLSTM
-pass forward and one backward. Every description position attends over the
-bug-report positions with dot-product softmax weights; the bug-report rows and
-the attended vectors are flattened and compared with cosine similarity
-squashed through a sigmoid:
+Both input sequences run through one shared BiLSTM. Its weights are stacked
+along a leading direction axis (index 0 forward, 1 backward), and the
+backward direction is the same recurrence over time-reversed input, so one
+time loop runs both directions at once. Both sides are padded to
+``max_seq_len``, so a batch's bug-report rows and description rows are
+stacked along the batch axis and take that one loop together. Every
+description position attends over the bug-report positions with dot-product
+softmax weights; the bug-report rows and the attended vectors are flattened
+and compared with cosine similarity squashed through a sigmoid:
 
     score = sigmoid(cosine(flatten(e_bug), flatten(attended)))
 
 Cosine is bounded, so every score lies in [sigmoid(-1), sigmoid(1)]. Padded
 positions are excluded from attention logits and zeroed in the flattened
-vectors. Padding still influences a score, though: the backward cell reverses
-the whole padded sequence, so it reads the zero padding rows (with
+vectors. Padding still influences a score, though: the backward direction
+reverses the whole padded sequence, so it reads the zero padding rows (with
 bias-driven state) before the real tokens, and a score depends slightly on
 ``max_seq_len`` (a fresh seed-0 model scores one pair of 6-token texts
 0.67387 at 8 and 0.67486 at 64). Training minimizes binary cross-entropy
@@ -35,7 +37,6 @@ from .embed import SequenceMatrix
 __all__ = [
     "Adam",
     "BatchExample",
-    "LstmCellParams",
     "ModelConfig",
     "Prediction",
     "QaModel",
@@ -56,8 +57,12 @@ SCORE_FLOOR = 1.0 / (1.0 + math.e)          # sigmoid(-1)
 SCORE_CEILING = 1.0 / (1.0 + math.exp(-1))  # sigmoid(1)
 
 _MASKED_LOGIT = -1e30
-_TENSOR_ORDER = ("forward.w_x", "forward.w_h", "forward.b",
-                 "backward.w_x", "backward.w_h", "backward.b")
+# Each weight tensor holds the input, forget and output gates followed by the
+# candidate block along its gate axis, so the three sigmoid gates occupy one
+# contiguous range. A checkpoint stores one tensor per direction and weight.
+_WEIGHTS = ("w_x", "w_h", "b")
+_TENSOR_ORDER = tuple(f"{direction}.{name}" for direction in ("forward", "backward")
+                      for name in _WEIGHTS)
 _CHECKPOINT_MAGIC = b"PQQA\x01\n"
 
 
@@ -84,19 +89,9 @@ class ModelConfig:
         for name in ("max_seq_len", "hidden_size", "epochs", "batch_size"):
             if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if isinstance(self.learning_rate, bool) or not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-
-
-@dataclass
-class LstmCellParams:
-    """Stacked gate parameters; the leading axis holds the input, forget and
-    output gates followed by the candidate block, so the three sigmoid gates
-    occupy one contiguous range."""
-
-    w_x: np.ndarray  # (4*hidden, input_dim)
-    w_h: np.ndarray  # (4*hidden, hidden)
-    b: np.ndarray    # (4*hidden,)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not lr > 0 or not math.isfinite(lr):
+            raise ValueError("learning_rate must be a positive finite number")
 
 
 @dataclass
@@ -112,28 +107,16 @@ class Prediction:
     score: float
 
 
-def _init_cell(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmCellParams:
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return LstmCellParams(
-        w_x=uniform((4 * hidden, input_dim), input_dim),
-        w_h=uniform((4 * hidden, hidden), hidden),
-        b=uniform((4 * hidden,), hidden),
-    )
-
-
 class QaModel:
-    """The two shared LSTM cells plus run configuration and metadata."""
+    """The shared BiLSTM weights plus run configuration and metadata. ``params``
+    maps "w_x" (2, 4*hidden, input_dim), "w_h" (2, 4*hidden, hidden) and "b"
+    (2, 4*hidden) to tensors stacked by direction: 0 forward, 1 backward."""
 
     def __init__(self, config: ModelConfig, input_dim: int,
-                 forward_cell: LstmCellParams, backward_cell: LstmCellParams,
-                 metadata: dict | None = None):
+                 params: dict[str, np.ndarray], metadata: dict | None = None):
         self.config = config
         self.input_dim = input_dim
-        self.forward_cell = forward_cell
-        self.backward_cell = backward_cell
+        self.params = params
         self.metadata = dict(metadata or {})
 
     @classmethod
@@ -144,22 +127,23 @@ class QaModel:
             raise ValueError("input_dim must be positive")
         rng = np.random.default_rng(config.seed)
         hidden = config.hidden_size
-        return cls(
-            config,
-            input_dim,
-            _init_cell(rng, input_dim, hidden),
-            _init_cell(rng, input_dim, hidden),
-            metadata,
-        )
+        # Drawn in checkpoint order (forward w_x, w_h, b, then backward), each
+        # uniform in +-1/sqrt(fan_in).
+        fans = ((input_dim, (4 * hidden, input_dim)), (hidden, (4 * hidden, hidden)),
+                (hidden, (4 * hidden,)))
+        drawn = [rng.uniform(-1.0 / math.sqrt(fan), 1.0 / math.sqrt(fan), size=shape)
+                 for _ in range(2) for fan, shape in fans]
+        return cls(config, input_dim, _stack_directions(drawn), metadata)
 
     @property
     def output_dim(self) -> int:
         # Output rows concatenate both direction states.
         return 2 * self.config.hidden_size
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        fwd, bwd = self.forward_cell, self.backward_cell
-        return dict(zip(_TENSOR_ORDER, (fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b)))
+
+def _stack_directions(tensors) -> dict[str, np.ndarray]:
+    """Direction-stacked params from the six tensors in ``_TENSOR_ORDER``."""
+    return {name: np.stack(tensors[i::len(_WEIGHTS)]) for i, name in enumerate(_WEIGHTS)}
 
 
 def _sigmoid(x):
@@ -167,111 +151,108 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_run(cell: LstmCellParams, x_tm: np.ndarray):
-    """Run one direction over time-major input (steps, batch, dim).
-
-    Returns time-major states and the caches needed for backpropagation. The
-    input projection is hoisted out of the loop as one large matmul; only the
-    recurrent term stays inside.
-    """
-    steps, batch, _ = x_tm.shape
-    hidden = cell.w_h.shape[1]
-    states = np.empty((steps, batch, hidden))
-    cells = np.empty((steps, batch, hidden))
-    gates = np.empty((steps, batch, 4 * hidden))
-    tanh_cells = np.empty((steps, batch, hidden))
-    x_proj = (x_tm.reshape(steps * batch, -1) @ cell.w_x.T + cell.b)
-    x_proj = x_proj.reshape(steps, batch, 4 * hidden)
-    wh_t = cell.w_h.T
+def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray):
+    """Run both directions over direction-major input (2, steps, rows, dim),
+    x[d] in direction d's own time order; returns direction-major states and
+    the caches for backpropagation. The input projection is hoisted out of
+    the loop as one large matmul written into ``gates``; each step adds the
+    recurrent term and overwrites its slice with the activations."""
+    _, steps, rows, dim = x.shape
+    hidden = params["w_h"].shape[2]
+    states = np.empty((2, steps, rows, hidden))
+    cells = np.empty((2, steps, rows, hidden))
+    gates = np.empty((2, steps, rows, 4 * hidden))
+    tanh_cells = np.empty((2, steps, rows, hidden))
+    np.matmul(x.reshape(2, steps * rows, dim), params["w_x"].transpose(0, 2, 1),
+              out=gates.reshape(2, steps * rows, 4 * hidden))
+    gates += params["b"][:, None, None]
+    wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1))
     split = 3 * hidden
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
+    h = np.zeros((2, rows, hidden))
+    c = np.zeros((2, rows, hidden))
     for t in range(steps):
-        a = x_proj[t] + h @ wh_t
-        gate = gates[t]
-        gate[:, :split] = _sigmoid(a[:, :split])
-        gate[:, split:] = np.tanh(a[:, split:])
-        i = gate[:, :hidden]
-        f = gate[:, hidden:2 * hidden]
-        o = gate[:, 2 * hidden:split]
-        g = gate[:, split:]
-        cell_state = cells[t]
+        gate = gates[:, t]
+        a = gate + h @ wh_t
+        gate[..., :split] = _sigmoid(a[..., :split])
+        gate[..., split:] = np.tanh(a[..., split:])
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:split]
+        g = gate[..., split:]
+        cell_state = cells[:, t]
         np.multiply(f, c, out=cell_state)
         cell_state += i * g
         c = cell_state
-        tc = np.tanh(c, out=tanh_cells[t])
-        h = np.multiply(o, tc, out=states[t])
-    return states, (x_tm, gates, cells, tanh_cells, states)
+        tc = np.tanh(c, out=tanh_cells[:, t])
+        h = np.multiply(o, tc, out=states[:, t])
+    return states, (x, gates, cells, tanh_cells, states)
 
 
-def _lstm_back(cell: LstmCellParams, cache, g_states: np.ndarray):
-    """Backpropagation through time; everything time-major.
-
-    Previous-step states are shifted views of the forward caches (zero at
-    t=0), so the non-recurrent reductions collapse into single large matmuls.
-    """
-    x_tm, gates, cells, tanh_cells, states = cache
-    steps, batch, hidden = states.shape
+def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
+    """Backpropagation through time for both directions, direction-major like
+    ``_lstm_run``; returns the input gradient and the gradients keyed like
+    ``params``. Previous-step states are shifted views of the caches (zero at
+    t=0), so the non-recurrent reductions collapse into single large matmuls."""
+    x, gates, cells, tanh_cells, states = cache
+    _, steps, rows, hidden = states.shape
     split = 3 * hidden
-    d_a_all = np.empty((steps, batch, 4 * hidden))
-    dh_next = np.zeros((batch, hidden))
-    dc_next = np.zeros((batch, hidden))
-    zeros = np.zeros((batch, hidden))
+    d_a_all = np.empty((2, steps, rows, 4 * hidden))
+    dh_next = np.zeros((2, rows, hidden))
+    dc_next = np.zeros((2, rows, hidden))
+    zeros = np.zeros((2, rows, hidden))
     for t in range(steps - 1, -1, -1):
-        gate = gates[t]
-        i = gate[:, :hidden]
-        f = gate[:, hidden:2 * hidden]
-        o = gate[:, 2 * hidden:split]
-        g = gate[:, split:]
-        tc = tanh_cells[t]
-        c_prev = cells[t - 1] if t > 0 else zeros
-        dh = g_states[t] + dh_next
+        gate = gates[:, t]
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:split]
+        g = gate[..., split:]
+        tc = tanh_cells[:, t]
+        c_prev = cells[:, t - 1] if t > 0 else zeros
+        dh = g_states[:, t] + dh_next
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        d_a = d_a_all[t]
-        d_a[:, :hidden] = dc * g * i * (1.0 - i)
-        d_a[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
-        d_a[:, 2 * hidden:split] = dh * tc * o * (1.0 - o)
-        d_a[:, split:] = dc * i * (1.0 - g * g)
-        dh_next = d_a @ cell.w_h
+        d_a = d_a_all[:, t]
+        d_a[..., :hidden] = dc * g * i * (1.0 - i)
+        d_a[..., hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
+        d_a[..., 2 * hidden:split] = dh * tc * o * (1.0 - o)
+        d_a[..., split:] = dc * i * (1.0 - g * g)
+        dh_next = d_a @ params["w_h"]
         dc_next = dc * f
-    flat_a = d_a_all.reshape(steps * batch, 4 * hidden)
-    g_wx = flat_a.T @ x_tm.reshape(steps * batch, -1)
-    # h_prev is zero at t=0, so that term drops out of the sum.
-    g_wh = d_a_all[1:].reshape((steps - 1) * batch, -1).T \
-        @ states[:-1].reshape((steps - 1) * batch, hidden)
-    g_b = flat_a.sum(axis=0)
-    g_x_tm = (flat_a @ cell.w_x).reshape(steps, batch, -1)
-    return g_x_tm, (g_wx, g_wh, g_b)
+    flat_a = d_a_all.reshape(2, steps * rows, 4 * hidden)
+    # h_prev is zero at t=0, so that term drops out of the w_h sum.
+    grads = {
+        "w_x": flat_a.transpose(0, 2, 1) @ x.reshape(2, steps * rows, -1),
+        "w_h": d_a_all[:, 1:].reshape(2, (steps - 1) * rows, -1).transpose(0, 2, 1)
+        @ states[:, :-1].reshape(2, (steps - 1) * rows, hidden),
+        "b": flat_a.sum(axis=1),
+    }
+    g_x = (flat_a @ params["w_x"]).reshape(2, steps, rows, -1)
+    return g_x, grads
 
 
 def _bilstm_run(model: QaModel, *parts: np.ndarray):
-    """Run batch-major (batch, steps, dim) inputs of one length through both
-    cells as one batch, stacked in order; gives (rows, steps, 2*hidden)."""
+    """Run batch-major (batch, steps, dim) inputs of one length through the
+    BiLSTM as one batch, stacked in order; gives (rows, steps, 2*hidden)."""
     x_tm = np.concatenate([x.transpose(1, 0, 2) for x in parts], axis=1)
-    x_tm_rev = np.ascontiguousarray(x_tm[::-1])
-    fwd_states, fwd_cache = _lstm_run(model.forward_cell, x_tm)
-    bwd_states_rev, bwd_cache = _lstm_run(model.backward_cell, x_tm_rev)
-    e = np.concatenate(
-        [fwd_states.transpose(1, 0, 2), bwd_states_rev[::-1].transpose(1, 0, 2)],
-        axis=2,
-    )
-    return e, (fwd_cache, bwd_cache)
+    # The backward direction reads the time-reversed input.
+    states, cache = _lstm_run(model.params, np.stack([x_tm, x_tm[::-1]]))
+    e = np.concatenate([states[0].transpose(1, 0, 2),
+                        states[1, ::-1].transpose(1, 0, 2)], axis=2)
+    return e, cache
 
 
-def _bilstm_back(model: QaModel, caches, g_e: np.ndarray):
-    fwd_cache, bwd_cache = caches
+def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
+    """Gradients of ``_bilstm_run``: the input gradient, batch-major, and the
+    parameter gradients keyed like ``model.params``."""
     hidden = model.config.hidden_size
-    g_fwd = np.ascontiguousarray(g_e[:, :, :hidden].transpose(1, 0, 2))
-    g_bwd_rev = np.ascontiguousarray(g_e[:, ::-1, hidden:].transpose(1, 0, 2))
-    g_x_fwd_tm, fwd_grads = _lstm_back(model.forward_cell, fwd_cache, g_fwd)
-    g_x_bwd_rev_tm, bwd_grads = _lstm_back(model.backward_cell, bwd_cache, g_bwd_rev)
-    g_x = (g_x_fwd_tm + g_x_bwd_rev_tm[::-1]).transpose(1, 0, 2)
-    return g_x, fwd_grads, bwd_grads
+    g_states = np.stack([g_e[:, :, :hidden].transpose(1, 0, 2),
+                         g_e[:, ::-1, hidden:].transpose(1, 0, 2)])
+    g_x, grads = _lstm_back(model.params, cache, g_states)
+    return (g_x[0] + g_x[1, ::-1]).transpose(1, 0, 2), grads
 
 
 @dataclass
 class _ForwardCache:
-    bilstm_caches: tuple
+    bilstm_cache: tuple
     e_b: np.ndarray
     e_c: np.ndarray
     alpha: np.ndarray
@@ -288,7 +269,7 @@ class _ForwardCache:
 def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
     # One BiLSTM pass over the bug rows and the description rows stacked.
     batch = bug_rows.shape[0]
-    e, bilstm_caches = _bilstm_run(model, bug_rows, desc_rows)
+    e, bilstm_cache = _bilstm_run(model, bug_rows, desc_rows)
     e_b, e_c = e[:batch], e[batch:]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the
@@ -307,7 +288,7 @@ def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    cache = _ForwardCache(bilstm_caches, e_b, e_c, alpha,
+    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha,
                           np.asarray(bug_mask, float), np.asarray(desc_mask, float),
                           rb, rc, dot, norm_b, norm_c, scores)
     return scores, cache
@@ -337,9 +318,8 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     g_logits = cache.alpha * (g_alpha - inner)
     g_e_b += g_logits @ cache.e_c
     g_e_c = g_logits.transpose(0, 2, 1) @ cache.e_b
-    g_rows, fwd_grads, bwd_grads = _bilstm_back(
-        model, cache.bilstm_caches, np.concatenate([g_e_b, g_e_c]))
-    grads = dict(zip(_TENSOR_ORDER, (*fwd_grads, *bwd_grads)))
+    g_rows, grads = _bilstm_back(model, cache.bilstm_cache,
+                                 np.concatenate([g_e_b, g_e_c]))
     return grads, g_rows[:batch], g_rows[batch:]
 
 
@@ -420,7 +400,7 @@ def train(model: QaModel, examples: list[BatchExample],
     if bug_rows.shape[2] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(model.parameters(), cfg.learning_rate)
+    optimizer = Adam(model.params, cfg.learning_rate)
     history: list[float] = []
     count = len(examples)
     for epoch in range(cfg.epochs):
@@ -436,7 +416,7 @@ def train(model: QaModel, examples: list[BatchExample],
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            optimizer.step(model.parameters(), grads)
+            optimizer.step(model.params, grads)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / count)
     return model, history
@@ -452,22 +432,22 @@ def predict(model: QaModel, example: BatchExample, threshold: float) -> Predicti
 
 def save_model(model: QaModel, path) -> None:
     """Write a byte-stable checkpoint: JSON header plus raw float64 tensors."""
-    params = model.parameters()
+    tensors = [model.params[name][d] for d in range(2) for name in _WEIGHTS]
     header = {
         "format": 1,
         "input_dim": model.input_dim,
         "config": asdict(model.config),
         "metadata": model.metadata,
-        "tensors": [{"name": name, "shape": list(params[name].shape)}
-                    for name in _TENSOR_ORDER],
+        "tensors": [{"name": name, "shape": list(tensor.shape)}
+                    for name, tensor in zip(_TENSOR_ORDER, tensors)],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for name in _TENSOR_ORDER:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        for tensor in tensors:
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
 def load_model(path) -> QaModel:
@@ -510,7 +490,6 @@ def load_model(path) -> QaModel:
     flat = np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{path}: checkpoint holds a non-finite weight")
-    cells = [part.reshape(shape) for part, shape
+    parts = [part.reshape(shape) for part, shape
              in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes.values())]
-    return QaModel(config, input_dim, LstmCellParams(*cells[:3]),
-                   LstmCellParams(*cells[3:]), metadata)
+    return QaModel(config, input_dim, _stack_directions(parts), metadata)

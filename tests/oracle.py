@@ -22,6 +22,33 @@ def bilstm_forward(model: qa_model.QaModel, matrix) -> np.ndarray:
     return e[0]
 
 
+def lstm_direction(params, d: int, rows) -> np.ndarray:
+    """States of direction ``d`` read over (N, dim) rows in the given order:
+    one matrix-vector step per row, gates in input, forget, output,
+    candidate order."""
+    w_x, w_h, b = params["w_x"][d], params["w_h"][d], params["b"][d]
+    hidden = w_h.shape[1]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    out = []
+    for x_t in np.asarray(rows, dtype=np.float64):
+        a = w_x @ x_t + w_h @ h + b
+        i, f, o = (1.0 / (1.0 + np.exp(-a[k * hidden:(k + 1) * hidden])) for k in range(3))
+        c = f * c + i * np.tanh(a[3 * hidden:])
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.array(out)
+
+
+def bilstm_reference(params, rows) -> np.ndarray:
+    """BiLSTM rows of one (N, dim) sequence without the batched code: the
+    forward direction reads rows 0..N-1, the backward one N-1..0, and row t
+    concatenates both states at position t."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.concatenate([lstm_direction(params, 0, rows),
+                           lstm_direction(params, 1, rows[::-1])[::-1]], axis=1)
+
+
 def attention_weights(e_b, xc_j, mask_b) -> np.ndarray:
     """Softmax weights of one description position over bug-report rows.
 

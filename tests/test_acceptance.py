@@ -122,7 +122,7 @@ def test_criterion_2_gradient_correctness():
         model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
     h = 1e-4
     worst = 0.0
-    tensors = list(model.parameters().items())
+    tensors = list(model.params.items())
     tensors += [("input.bug", bug_rows), ("input.description", desc_rows)]
     analytic = {**grads, "input.bug": g_bug, "input.description": g_desc}
     for name, tensor in tensors:

@@ -120,6 +120,27 @@ def test_crossval_k_larger_than_bug_count_fails(small_corpus, tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--lr", "inf"], "error: learning_rate must be a positive finite",
+                 id="lr-inf"),
+    pytest.param(["--k", "1"], "error: fold planning: k must be at least 2", id="k-1"),
+    pytest.param(["--thresholds", "0.6,0.4"],
+                 "error: evaluation: thresholds must be sorted ascending", id="unsorted"),
+    pytest.param(["--threshold", "7"], "error: evaluation: thresholds must lie in [0, 1]",
+                 id="threshold-7"),
+])
+def test_crossval_rejects_bad_settings_before_training(small_corpus, tmp_path, capsys,
+                                                       flags, message):
+    code, out, err = run_cli(capsys, [
+        "crossval", "--dataset", small_corpus, "--out", tmp_path / "x", *FAST_MODEL, *flags,
+    ])
+    assert code == 1
+    # The one stderr line is the error: no "fold 1/k" line precedes it.
+    assert err.startswith(message) and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_crossval_byte_identical_reruns(small_corpus, tmp_path, capsys):
     args = ["crossval", "--dataset", small_corpus,
             "--k", "5", "--fold-seed", "7", "--pair-seed", "8", "--model-seed", "9",
@@ -201,6 +222,23 @@ def test_evaluate_writes_report(trained_checkpoint, small_corpus, tmp_path, caps
     assert set(report) == {"config", "at_threshold", "sweep", "statistics"}
     assert len(report["sweep"]) == 9
     assert (out_dir / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--threshold", "7"], "thresholds must lie in [0, 1]", id="threshold-7"),
+    pytest.param(["--thresholds", "0.6,0.4"], "thresholds must be sorted ascending",
+                 id="unsorted"),
+])
+def test_evaluate_rejects_bad_thresholds(trained_checkpoint, small_corpus, tmp_path,
+                                         capsys, flags, message):
+    code, out, err = run_cli(capsys, [
+        "evaluate", "--model", trained_checkpoint, "--dataset", small_corpus,
+        "--out", tmp_path / "eval", *flags,
+    ])
+    assert code == 1
+    assert err.startswith(f"error: evaluation: {message}") and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "eval").exists()
 
 
 # --- hypothesis ------------------------------------------------------------------

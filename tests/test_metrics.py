@@ -297,6 +297,12 @@ def test_sweep_requires_sorted_thresholds():
         threshold_sweep([(0.7, 1), (0.3, 0)], [0.5, 0.4])
 
 
+@pytest.mark.parametrize("thresholds", [[7.0], [-0.1, 0.5], [0.5, float("nan")]])
+def test_sweep_requires_thresholds_in_unit_interval(thresholds):
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        threshold_sweep([(0.7, 1), (0.3, 0)], thresholds)
+
+
 def test_sweep_low_threshold_row_on_banded_scores():
     # Model scores never leave [sigmoid(-1), sigmoid(1)], so a 0.1 threshold
     # predicts everything positive: +Recall 1, -Recall 0.

@@ -208,6 +208,8 @@ def test_fold_plan_deterministic():
 def test_fold_plan_rejects_bad_k():
     with pytest.raises(ValueError):
         make_fold_plan({"a", "b"}, 0, seed=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        make_fold_plan({"a", "b"}, 1, seed=1)
     with pytest.raises(ValueError, match="exceeds"):
         make_fold_plan({"a", "b"}, 3, seed=1)
 

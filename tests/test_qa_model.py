@@ -23,7 +23,8 @@ from patchqa.qa_model import (
 )
 
 from conftest import rewrite_checkpoint
-from oracle import attention_apply, attention_weights, bilstm_forward, cosine_similarity, loss
+from oracle import (attention_apply, attention_weights, bilstm_forward, bilstm_reference,
+                    cosine_similarity, loss)
 
 
 def make_model(dim=4, hidden=3, max_len=5, seed=7, **kwargs):
@@ -57,7 +58,7 @@ def random_example(rng, model, n_bug=None, n_desc=None):
 
 def test_zero_input_zero_params_gives_zero_rows():
     model = make_model()
-    for p in model.parameters().values():
+    for p in model.params.values():
         p[...] = 0.0
     out = bilstm_forward(model, matrix_from(np.zeros((5, 4)), 0))
     assert np.all(out == 0.0)
@@ -71,18 +72,36 @@ def test_output_shape_is_len_by_twice_hidden():
 
 
 def test_reversing_input_swaps_direction_halves():
-    # With the two direction cells tied, reversing the input must swap the
-    # forward/backward halves up to row reversal; this pins the direction
-    # plumbing (with untied cells no such identity exists).
+    # With the two directions' weights tied, reversing the input must swap
+    # the forward/backward halves up to row reversal; this pins the direction
+    # plumbing (with untied weights no such identity exists).
     rng = np.random.default_rng(3)
     model = make_model(dim=4, hidden=3, max_len=3)
-    model.backward_cell = model.forward_cell
+    for p in model.params.values():
+        p[1] = p[0]
     rows = rng.normal(size=(3, 4))
     e = bilstm_forward(model, matrix_from(rows))
     e_rev = bilstm_forward(model, matrix_from(rows[::-1].copy()))
     hidden = model.config.hidden_size
     assert np.allclose(e_rev[:, :hidden], e[::-1, hidden:])
     assert np.allclose(e_rev[:, hidden:], e[::-1, :hidden])
+
+
+def test_batched_bilstm_matches_per_step_reference():
+    # Rows of mixed real lengths, zero-padded to one length, run as one batch;
+    # each row's forward and backward halves must equal the plain per-step
+    # recurrence over that padded row.
+    rng = np.random.default_rng(4)
+    model = make_model(dim=5, hidden=3, max_len=7)
+    n, hidden = model.config.max_seq_len, model.config.hidden_size
+    rows = np.zeros((4, n, model.input_dim))
+    for r, length in enumerate((7, 1, 4, 0)):
+        rows[r, :length] = rng.normal(size=(length, model.input_dim))
+    e, _ = qa_model._bilstm_run(model, rows[:2], rows[2:])
+    for r in range(len(rows)):
+        expected = bilstm_reference(model.params, rows[r])
+        assert np.max(np.abs(e[r, :, :hidden] - expected[:, :hidden])) <= 1e-12
+        assert np.max(np.abs(e[r, :, hidden:] - expected[:, hidden:])) <= 1e-12
 
 
 def test_bilstm_rejects_dim_mismatch():
@@ -297,7 +316,7 @@ def test_gradients_match_central_finite_differences():
     _, grads, (g_bug, g_desc) = batch_loss_and_gradients(
         model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
     h = 1e-4
-    for name, param in model.parameters().items():
+    for name, param in model.params.items():
         numeric = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
@@ -344,8 +363,8 @@ def test_training_is_deterministic():
     model_b, _ = small_training_setup()
     _, history_b = train(model_b, examples)
     assert history_a == history_b
-    for name in model_a.parameters():
-        assert np.array_equal(model_a.parameters()[name], model_b.parameters()[name])
+    for name in model_a.params:
+        assert np.array_equal(model_a.params[name], model_b.params[name])
 
 
 def test_training_single_positive_drives_score_up():
@@ -384,6 +403,8 @@ def test_config_validation():
         ModelConfig(epochs=0).validate()
     with pytest.raises(ValueError):
         ModelConfig(learning_rate=0.0).validate()
+    with pytest.raises(ValueError, match="finite"):
+        ModelConfig(learning_rate=math.inf).validate()
     ModelConfig().validate()
 
 
