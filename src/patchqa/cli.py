@@ -255,10 +255,11 @@ _CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                  None: (str, "a string")}
 
 
-def _config_values(path, option_types: dict) -> dict:
-    """Config-file values keyed by option name. A value for an option of the
-    subcommand must have that option's type; JSON true is no number, and
-    ``thresholds`` may also be a list of numbers."""
+def _config_values(path, option_types: dict, known: set) -> dict:
+    """Config-file values keyed by option name. Every key must name an option
+    of some subcommand (``known``), so one file may serve several. A value for
+    an option of this subcommand must have that option's type; JSON true is no
+    number, and ``thresholds`` may also be a list of numbers."""
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -266,6 +267,9 @@ def _config_values(path, option_types: dict) -> dict:
     if not isinstance(values, dict):
         raise ValueError("config: expected a JSON object")
     out = {key.replace("-", "_"): value for key, value in values.items()}
+    for key in values:
+        if key.replace("-", "_") not in known:
+            raise ValueError(f"config: unknown option {key!r}")
     for name, value in out.items():
         if name not in option_types:
             continue
@@ -284,8 +288,12 @@ def main(argv=None) -> int:
         if args.config:
             commands = next(a for a in parser._actions
                             if isinstance(a, argparse._SubParsersAction))
-            option_types = {a.dest: a.type for a in commands.choices[args.command]._actions}
-            args._config_values = _config_values(args.config, option_types)
+            option_types = {name: {a.dest: a.type for a in sp._actions
+                                   if not isinstance(a, argparse._HelpAction)}
+                            for name, sp in commands.choices.items()}
+            known = {dest for types in option_types.values() for dest in types}
+            args._config_values = _config_values(args.config,
+                                                 option_types[args.command], known)
         return args.func(args)
     except (DatasetError, DiffParseError, PipelineError, qa_model.TrainingError,
             ValueError, OSError) as exc:

@@ -44,7 +44,6 @@ class DatasetError(Exception):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class Label(Enum):

@@ -13,7 +13,7 @@ from pathlib import PurePosixPath
 
 __all__ = ["DiffHunk", "DiffParseError", "describe_diff", "parse_unified_diff", "summarize"]
 
-_HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+_HUNK_HEADER = re.compile(r"^@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 _SNIPPET_TOKENS = 12
 
 
@@ -23,14 +23,11 @@ class DiffParseError(ValueError):
 
 @dataclass
 class DiffHunk:
-    """One change block; line lists hold content without the +/-/space marker."""
+    """One change block; line lists hold content without the +/- marker."""
 
     file_path: str
-    old_start: int
-    new_start: int
     removed_lines: list[str] = field(default_factory=list)
     added_lines: list[str] = field(default_factory=list)
-    context_lines: list[str] = field(default_factory=list)
 
 
 def _path_from_header(line: str) -> str:
@@ -65,17 +62,9 @@ def parse_unified_diff(diff: str) -> list[DiffHunk]:
             match = _HUNK_HEADER.match(line)
             if match is None:
                 raise DiffParseError(f"malformed hunk header: {line!r}")
-            old_start = int(match.group(1))
-            old_count = int(match.group(2)) if match.group(2) is not None else 1
-            new_start = int(match.group(3))
-            new_count = int(match.group(4)) if match.group(4) is not None else 1
-            # Empty ranges are conventionally written with start 0; line
-            # numbers are 1-based everywhere else.
-            hunk = DiffHunk(
-                file_path=current_path,
-                old_start=max(old_start, 1),
-                new_start=max(new_start, 1),
-            )
+            old_count = int(match.group(1)) if match.group(1) is not None else 1
+            new_count = int(match.group(2)) if match.group(2) is not None else 1
+            hunk = DiffHunk(file_path=current_path)
             i += 1
             old_left, new_left = old_count, new_count
             while old_left > 0 or new_left > 0:
@@ -106,7 +95,6 @@ def parse_unified_diff(diff: str) -> list[DiffHunk]:
                         raise DiffParseError(
                             "hunk line counts inconsistent with header ranges"
                         )
-                    hunk.context_lines.append(body[1:])
                     old_left -= 1
                     new_left -= 1
                 else:

@@ -20,7 +20,6 @@ __all__ = [
     "HashSeededEmbedding",
     "SequenceMatrix",
     "TokenSequence",
-    "distinct_word_count",
     "prepare",
     "standardize",
     "text_vector",
@@ -48,11 +47,6 @@ def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on any character outside [a-z0-9_#.]."""
     tokens = tuple(t for t in _TOKEN_SPLIT.split(text.lower()) if t)
     return TokenSequence(tokens)
-
-
-def distinct_word_count(text: str) -> int:
-    """Number of unique tokens in the text."""
-    return len(set(tokenize(text).tokens))
 
 
 def _token_key(token: str, seed: int) -> int:

@@ -22,7 +22,6 @@ __all__ = [
     "confusion_at",
     "euclidean_distance_study",
     "f1",
-    "levenshtein",
     "minus_recall",
     "mww_test",
     "plus_recall",
@@ -36,10 +35,6 @@ class ConfusionMatrix:
     tn: int
     fp: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 def confusion_at(scored, threshold: float) -> ConfusionMatrix:
@@ -146,20 +141,6 @@ def mww_test(sample_a, sample_b) -> MwwResult:
     return MwwResult(u_statistic=u_stat, p_value=p_value)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert, delete, substitute)."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
-
-
 @dataclass(frozen=True)
 class DistanceStudy:
     original_distances: np.ndarray
@@ -207,25 +188,11 @@ def euclidean_distance_study(original_pairs, random_pairs) -> DistanceStudy:
 
 @dataclass(frozen=True)
 class ThresholdSweep:
-    thresholds: tuple[float, ...]
-    matrices: tuple[ConfusionMatrix, ...]
-    plus_recalls: tuple  # float or None per threshold
-    minus_recalls: tuple
-    f1_scores: tuple
-    auc: float | None
+    """One row per threshold: the threshold, the confusion counts and the
+    recalls and F1 (None where undefined); plus the AUC (None if undefined)."""
 
-    def rows(self) -> list[dict]:
-        out = []
-        for i, t in enumerate(self.thresholds):
-            cm = self.matrices[i]
-            out.append({
-                "threshold": t,
-                "tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn,
-                "plus_recall": self.plus_recalls[i],
-                "minus_recall": self.minus_recalls[i],
-                "f1": self.f1_scores[i],
-            })
-        return out
+    rows: list[dict]
+    auc: float | None
 
 
 def _maybe(fn, cm):
@@ -251,13 +218,11 @@ def threshold_sweep(scored, thresholds) -> ThresholdSweep:
     +Recall is non-increasing and -Recall non-decreasing in the threshold.
     """
     pairs = list(scored)
-    ts = check_thresholds(thresholds)
-    matrices = tuple(confusion_at(pairs, t) for t in ts)
-    return ThresholdSweep(
-        thresholds=ts,
-        matrices=matrices,
-        plus_recalls=tuple(_maybe(plus_recall, cm) for cm in matrices),
-        minus_recalls=tuple(_maybe(minus_recall, cm) for cm in matrices),
-        f1_scores=tuple(_maybe(f1, cm) for cm in matrices),
-        auc=_maybe(auc, pairs) if pairs else None,
-    )
+    rows = []
+    for t in check_thresholds(thresholds):
+        cm = confusion_at(pairs, t)
+        rows.append({"threshold": t, "tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn,
+                     "plus_recall": _maybe(plus_recall, cm),
+                     "minus_recall": _maybe(minus_recall, cm),
+                     "f1": _maybe(f1, cm)})
+    return ThresholdSweep(rows=rows, auc=_maybe(auc, pairs) if pairs else None)

@@ -241,7 +241,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples])
         fold_rows = _score_rows(test_examples, scores)
         sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
-        at = sweep.rows()[0]
+        at = sweep.rows[0]
         per_fold.append({
             "fold": group,
             "train_examples": len(train_batch),
@@ -260,7 +260,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         "config": config.describe(),
         "per_fold": per_fold,
         "mean": _mean_over_folds(per_fold),
-        "sweep": sweep.rows(),
+        "sweep": sweep.rows,
         "statistics": {
             "pooled_auc": sweep.auc,
             "examples": len(examples),
@@ -330,7 +330,7 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     rows = _score_rows(examples, score_examples(model, examples, provider))
     sweep = metrics.threshold_sweep(_scored(rows), config.thresholds)
-    at_threshold = metrics.threshold_sweep(_scored(rows), (config.threshold,)).rows()[0]
+    at_threshold = metrics.threshold_sweep(_scored(rows), (config.threshold,)).rows[0]
     del at_threshold["threshold"]
     report = {
         "config": {
@@ -340,7 +340,7 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
             "threshold": config.threshold,
         },
         "at_threshold": at_threshold,
-        "sweep": sweep.rows(),
+        "sweep": sweep.rows,
         "statistics": {
             "auc": sweep.auc,
             "examples": len(examples),

@@ -20,7 +20,10 @@ bias-driven state) before the real tokens, and a score depends slightly on
 ``max_seq_len`` (a fresh seed-0 model scores one pair of 6-token texts
 0.67387 at 8 and 0.67486 at 64). Training minimizes binary cross-entropy
 with Adam; all arithmetic is float64 numpy and deterministic under the
-config seed.
+config seed. Only the BiLSTM weights are learned: token vectors are fixed
+inputs, so back-propagation stops at the weight gradients and the input
+reversal of the backward direction has no counterpart there. Scoring a set
+runs in chunks of ``batch_size`` examples.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ _WEIGHTS = ("w_x", "w_h", "b")
 _TENSOR_ORDER = tuple(f"{direction}.{name}" for direction in ("forward", "backward")
                       for name in _WEIGHTS)
 _CHECKPOINT_MAGIC = b"PQQA\x01\n"
+# Adam's published defaults: moment decay rates and the denominator's stabilizer.
+_ADAM_DECAY_M = 0.9
+_ADAM_DECAY_V = 0.999
+_ADAM_EPS = 1e-8
 
 
 def _is_int(value) -> bool:
@@ -190,9 +197,10 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray):
 
 def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
     """Backpropagation through time for both directions, direction-major like
-    ``_lstm_run``; returns the input gradient and the gradients keyed like
-    ``params``. Previous-step states are shifted views of the caches (zero at
-    t=0), so the non-recurrent reductions collapse into single large matmuls."""
+    ``_lstm_run``; returns the gradients keyed like ``params``. The inputs are
+    fixed token vectors, so no input gradient is formed. Previous-step states
+    are shifted views of the caches (zero at t=0), so the non-recurrent
+    reductions collapse into single large matmuls."""
     x, gates, cells, tanh_cells, states = cache
     _, steps, rows, hidden = states.shape
     split = 3 * hidden
@@ -219,14 +227,12 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
         dc_next = dc * f
     flat_a = d_a_all.reshape(2, steps * rows, 4 * hidden)
     # h_prev is zero at t=0, so that term drops out of the w_h sum.
-    grads = {
+    return {
         "w_x": flat_a.transpose(0, 2, 1) @ x.reshape(2, steps * rows, -1),
         "w_h": d_a_all[:, 1:].reshape(2, (steps - 1) * rows, -1).transpose(0, 2, 1)
         @ states[:, :-1].reshape(2, (steps - 1) * rows, hidden),
         "b": flat_a.sum(axis=1),
     }
-    g_x = (flat_a @ params["w_x"]).reshape(2, steps, rows, -1)
-    return g_x, grads
 
 
 def _bilstm_run(model: QaModel, *parts: np.ndarray):
@@ -241,13 +247,12 @@ def _bilstm_run(model: QaModel, *parts: np.ndarray):
 
 
 def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
-    """Gradients of ``_bilstm_run``: the input gradient, batch-major, and the
-    parameter gradients keyed like ``model.params``."""
+    """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
+    from the gradient of its (rows, steps, 2*hidden) output."""
     hidden = model.config.hidden_size
     g_states = np.stack([g_e[:, :, :hidden].transpose(1, 0, 2),
                          g_e[:, ::-1, hidden:].transpose(1, 0, 2)])
-    g_x, grads = _lstm_back(model.params, cache, g_states)
-    return (g_x[0] + g_x[1, ::-1]).transpose(1, 0, 2), grads
+    return _lstm_back(model.params, cache, g_states)
 
 
 @dataclass
@@ -295,8 +300,7 @@ def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
 
 
 def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
-    """Gradients of the mean BCE over the batch for every parameter tensor
-    plus both input tensors."""
+    """Gradients of the mean BCE over the batch for every parameter tensor."""
     batch = labels.shape[0]
     # d(mean BCE)/d cosine collapses to (score - label) / batch.
     g_cos = (cache.scores - labels) / batch
@@ -318,9 +322,7 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     g_logits = cache.alpha * (g_alpha - inner)
     g_e_b += g_logits @ cache.e_c
     g_e_c = g_logits.transpose(0, 2, 1) @ cache.e_b
-    g_rows, grads = _bilstm_back(model, cache.bilstm_cache,
-                                 np.concatenate([g_e_b, g_e_c]))
-    return grads, g_rows[:batch], g_rows[batch:]
+    return _bilstm_back(model, cache.bilstm_cache, np.concatenate([g_e_b, g_e_c]))
 
 
 def stack_examples(examples: list[BatchExample]):
@@ -340,48 +342,45 @@ def score(model: QaModel, example: BatchExample) -> float:
 
 
 def score_many(model: QaModel, examples: list[BatchExample]) -> np.ndarray:
-    if not examples:
-        return np.empty(0)
-    scores, _ = _forward_batch(model, *stack_examples(examples)[:4])
-    return scores
+    """Scores in example order. Examples are stacked and scored in chunks of
+    ``batch_size``, so memory follows the chunk, not the whole set."""
+    size = model.config.batch_size
+    chunks = [_forward_batch(model, *stack_examples(examples[i:i + size])[:4])[0]
+              for i in range(0, len(examples), size)]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def batch_loss_and_gradients(model: QaModel, bug_rows, bug_mask, desc_rows,
                              desc_mask, labels):
-    """Mean BCE over the batch, parameter gradients and input gradients."""
+    """Mean BCE over the batch and its parameter gradients."""
     scores, cache = _forward_batch(model, bug_rows, bug_mask, desc_rows, desc_mask)
     y = np.asarray(labels, dtype=np.float64)
     losses = -(y * np.log(scores) + (1.0 - y) * np.log(1.0 - scores))
-    grads, g_bug, g_desc = _backward_batch(model, cache, y)
-    return float(losses.mean()), grads, (g_bug, g_desc)
+    return float(losses.mean()), _backward_batch(model, cache, y)
 
 
 class Adam:
     """Adam with bias correction; state is keyed by parameter name."""
 
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(value) for name, value in params.items()}
         self.v = {name: np.zeros_like(value) for name, value in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - _ADAM_DECAY_M ** self.t
+        correct2 = 1.0 - _ADAM_DECAY_V ** self.t
         for name, value in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            value -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= _ADAM_DECAY_M
+            m += (1.0 - _ADAM_DECAY_M) * g
+            v *= _ADAM_DECAY_V
+            v += (1.0 - _ADAM_DECAY_V) * g * g
+            value -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
 
 def train(model: QaModel, examples: list[BatchExample],
@@ -408,7 +407,7 @@ def train(model: QaModel, examples: list[BatchExample],
         epoch_loss = 0.0
         for start in range(0, count, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            batch_loss, grads, _ = batch_loss_and_gradients(
+            batch_loss, grads = batch_loss_and_gradients(
                 model, bug_rows[idx], bug_mask[idx], desc_rows[idx], desc_mask[idx],
                 labels[idx],
             )

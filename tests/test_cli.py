@@ -401,6 +401,22 @@ def test_config_embedding_applies_to_a_checkpoint_without_one(
     assert code == 0, err
 
 
+def test_config_key_no_subcommand_knows_fails_cleanly(
+        small_corpus, trained_checkpoint, tmp_path, capsys):
+    config = write_config(tmp_path, {"epoch": 1})
+    code, _, err = run_cli(capsys, [
+        "--config", config, "train", "--dataset", small_corpus,
+        "--model-out", tmp_path / "m.ckpt",
+    ])
+    assert code == 1
+    assert err == "error: config: unknown option 'epoch'\n"
+    assert not (tmp_path / "m.ckpt").exists()
+    # keys of another subcommand stay accepted, so one file serves both
+    saved = predict_score(capsys, trained_checkpoint)
+    shared = write_config(tmp_path, {"epochs": 1, "k": 3, "fold-seed": 2})
+    assert predict_score(capsys, trained_checkpoint, config=shared) == saved
+
+
 def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_path, capsys):
     saved = predict_score(capsys, trained_checkpoint)
     config = write_config(tmp_path, {"hash-seed": 3})

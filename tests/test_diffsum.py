@@ -29,8 +29,6 @@ def test_minimal_diff_one_hunk():
     assert hunk.file_path == "src/Widget.java"
     assert hunk.removed_lines == ["old line"]
     assert hunk.added_lines == ["new line"]
-    assert hunk.context_lines == ["context before", "context after"]
-    assert hunk.old_start == 3 and hunk.new_start == 3
 
 
 def test_hunk_counts_inconsistent_with_header():
@@ -71,13 +69,11 @@ def test_truncated_hunk_body():
 
 def test_implied_count_of_one():
     hunks = parse_unified_diff("--- a/F\n+++ b/F\n@@ -4 +4 @@\n-x\n+y\n")
-    assert hunks[0].old_start == 4
     assert hunks[0].removed_lines == ["x"]
 
 
 def test_zero_start_clamped_to_one():
     hunks = parse_unified_diff("--- /dev/null\n+++ b/F\n@@ -0,0 +1,1 @@\n+fresh\n")
-    assert hunks[0].old_start == 1
     assert hunks[0].added_lines == ["fresh"]
 
 
@@ -172,8 +168,7 @@ line_strategy = st.text(
     path=st.sampled_from(["src/Alpha.java", "lib/beta_mod.py", "Gamma.c"]),
 )
 def test_summary_identifiers_come_from_the_input(removed, added, path):
-    hunk = DiffHunk(file_path=path, old_start=1, new_start=1,
-                    removed_lines=removed, added_lines=added)
+    hunk = DiffHunk(file_path=path, removed_lines=removed, added_lines=added)
     text = summarize([hunk])
     source = " ".join(removed + added) + " " + path
     source_idents = set(_IDENTIFIERS.findall(source))

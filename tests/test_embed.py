@@ -6,7 +6,6 @@ from patchqa.embed import (
     FileBackedEmbedding,
     HashSeededEmbedding,
     TokenSequence,
-    distinct_word_count,
     prepare,
     standardize,
     text_vector,
@@ -56,18 +55,11 @@ def test_tokens_only_use_kept_characters(text):
         assert set(token) <= KEEP
 
 
-def test_distinct_word_count_basics():
-    assert distinct_word_count("a b a") == 2
-    assert distinct_word_count("") == 0
-
-
-def test_distinct_word_count_case_study_title():
-    # Computed by the reference oracle: the full title splits into
-    # numberutils#createnumber / bad / behaviour / for / leading / "."
+def test_tokenize_case_study_title():
     title = 'NumberUtils#createNumber - bad behaviour for leading "--".'
-    assert reference_split(title) == [
-        "numberutils#createnumber", "bad", "behaviour", "for", "leading", "."]
-    assert distinct_word_count(title) == 6
+    expected = ["numberutils#createnumber", "bad", "behaviour", "for", "leading", "."]
+    assert reference_split(title) == expected
+    assert list(tokenize(title).tokens) == expected
 
 
 # --- providers ---------------------------------------------------------------

@@ -10,7 +10,6 @@ from patchqa.metrics import (
     confusion_at,
     euclidean_distance_study,
     f1,
-    levenshtein,
     minus_recall,
     mww_test,
     plus_recall,
@@ -44,7 +43,6 @@ def test_confusion_matches_published_row_reconstruction():
     scored = ([(0.5, 1)] * tp + [(0.3, 1)] * fn + [(0.5, 0)] * fp + [(0.3, 0)] * tn)
     cm = confusion_at(scored, 0.4)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (tp, tn, fp, fn)
-    assert cm.total == len(scored)
 
 
 def test_confusion_matches_brute_force_on_random_points():
@@ -214,39 +212,6 @@ def test_mww_agrees_with_scipy(tied):
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12)
 
 
-# --- Levenshtein ------------------------------------------------------------------
-
-
-def test_levenshtein_known_values():
-    assert levenshtein("abc", "abc") == 0
-    assert levenshtein("kitten", "sitting") == 3
-    assert levenshtein("", "ab") == 2
-    assert levenshtein("ab", "") == 2
-
-
-def brute_force_levenshtein(a, b):
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    cost = 0 if a[0] == b[0] else 1
-    return min(
-        brute_force_levenshtein(a[1:], b) + 1,
-        brute_force_levenshtein(a, b[1:]) + 1,
-        brute_force_levenshtein(a[1:], b[1:]) + cost,
-    )
-
-
-@given(st.text(alphabet="abc", max_size=5), st.text(alphabet="abc", max_size=5))
-def test_levenshtein_matches_recursive_oracle(a, b):
-    assert levenshtein(a, b) == brute_force_levenshtein(a, b)
-
-
-@given(st.text(max_size=12), st.text(max_size=12))
-def test_levenshtein_symmetric(a, b):
-    assert levenshtein(a, b) == levenshtein(b, a)
-
-
 # --- Euclidean distance study -------------------------------------------------------
 
 
@@ -287,8 +252,8 @@ def test_distance_study_detects_matched_pairs():
 
 def test_sweep_single_threshold():
     sweep = threshold_sweep([(0.7, 1), (0.3, 0)], [0.5])
-    assert len(sweep.matrices) == 1
-    assert sweep.matrices[0] == ConfusionMatrix(1, 1, 0, 0)
+    assert len(sweep.rows) == 1
+    assert [sweep.rows[0][k] for k in ("tp", "tn", "fp", "fn")] == [1, 1, 0, 0]
     assert sweep.auc == 1.0
 
 
@@ -311,8 +276,8 @@ def test_sweep_low_threshold_row_on_banded_scores():
               for _ in range(50)]
     scored += [(0.5, 1), (0.5, 0)]
     sweep = threshold_sweep(scored, [0.1])
-    assert sweep.plus_recalls[0] == 1.0
-    assert sweep.minus_recalls[0] == 0.0
+    assert sweep.rows[0]["plus_recall"] == 1.0
+    assert sweep.rows[0]["minus_recall"] == 0.0
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -321,14 +286,14 @@ def test_sweep_low_threshold_row_on_banded_scores():
 def test_sweep_recall_monotonicity(scored):
     thresholds = [0.1, 0.3, 0.5, 0.7, 0.9]
     sweep = threshold_sweep(scored, thresholds)
-    plus = [r for r in sweep.plus_recalls if r is not None]
-    minus = [r for r in sweep.minus_recalls if r is not None]
+    plus = [r["plus_recall"] for r in sweep.rows if r["plus_recall"] is not None]
+    minus = [r["minus_recall"] for r in sweep.rows if r["minus_recall"] is not None]
     assert all(a >= b - 1e-12 for a, b in zip(plus, plus[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(minus, minus[1:]))
 
 
 def test_sweep_rows_shape():
-    rows = threshold_sweep([(0.7, 1), (0.3, 0)], [0.2, 0.5]).rows()
+    rows = threshold_sweep([(0.7, 1), (0.3, 0)], [0.2, 0.5]).rows
     assert [r["threshold"] for r in rows] == [0.2, 0.5]
     assert set(rows[0]) == {"threshold", "tp", "tn", "fp", "fn",
                             "plus_recall", "minus_recall", "f1"}

@@ -1,0 +1,37 @@
+"""Package-wide checks over the source tree itself."""
+
+import ast
+import importlib
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "patchqa"
+CALLER_FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                       *(ROOT / "perfbench").glob("*.py")])
+
+
+def referenced_names() -> Counter:
+    """How often each identifier is read across ``CALLER_FILES``: loaded names,
+    attribute names and imported names. Definitions (``def``, ``class``,
+    assignment targets) and the strings of ``__all__`` do not count."""
+    counts = Counter()
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                counts.update(alias.name for alias in node.names)
+    return counts
+
+
+def test_every_export_has_a_caller():
+    counts = referenced_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "patchqa" if path.stem == "__init__" else f"patchqa.{path.stem}"
+        exported = getattr(importlib.import_module(module), "__all__", ())
+        unused += [f"{module}.{name}" for name in exported if not counts[name]]
+    assert unused == [], "exported, but nothing in src/, scripts/ or perfbench/ uses it"
