@@ -255,13 +255,27 @@ _CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                  None: (str, "a string")}
 
 
+def _one_key_per_option(pairs) -> dict:
+    """A JSON object as a dict. Keys fold ``-`` into ``_``, so two keys that
+    name one option (``hash-dim`` and ``hash_dim``, or one key twice) are an
+    error rather than the last one silently winning."""
+    keys = {}
+    for key, _ in pairs:
+        name = key.replace("-", "_")
+        if name in keys:
+            raise ValueError(f"config: {keys[name]!r} and {key!r} name the same option")
+        keys[name] = key
+    return dict(pairs)
+
+
 def _config_values(path, option_types: dict, known: set) -> dict:
     """Config-file values keyed by option name. Every key must name an option
     of some subcommand (``known``), so one file may serve several. A value for
     an option of this subcommand must have that option's type; JSON true is no
     number, and ``thresholds`` may also be a list of numbers."""
     try:
-        values = json.loads(Path(path).read_text(encoding="utf-8"))
+        values = json.loads(Path(path).read_text(encoding="utf-8"),
+                            object_pairs_hook=_one_key_per_option)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"config: {exc}") from None
     if not isinstance(values, dict):

@@ -2,28 +2,26 @@
 
 Both input sequences run through one shared BiLSTM. Its weights are stacked
 along a leading direction axis (index 0 forward, 1 backward), and the
-backward direction is the same recurrence over time-reversed input, so one
-time loop runs both directions at once. Both sides are padded to
-``max_seq_len``, so a batch's bug-report rows and description rows are
-stacked along the batch axis and take that one loop together. Every
-description position attends over the bug-report positions with dot-product
-softmax weights; the bug-report rows and the attended vectors are flattened
-and compared with cosine similarity squashed through a sigmoid:
+backward direction is the same recurrence over each row's real tokens
+reversed, so one time loop runs both directions at once. A batch's
+bug-report rows and description rows are stacked along the batch axis and
+take that one loop together. Every description position attends over the
+bug-report positions with dot-product softmax weights; the bug-report rows
+and the attended vectors are flattened and compared with cosine similarity
+squashed through a sigmoid:
 
     score = sigmoid(cosine(flatten(e_bug), flatten(attended)))
 
-Cosine is bounded, so every score lies in [sigmoid(-1), sigmoid(1)]. Padded
-positions are excluded from attention logits and zeroed in the flattened
-vectors. Padding still influences a score, though: the backward direction
-reverses the whole padded sequence, so it reads the zero padding rows (with
-bias-driven state) before the real tokens, and a score depends slightly on
-``max_seq_len`` (a fresh seed-0 model scores one pair of 6-token texts
-0.67387 at 8 and 0.67486 at 64). Training minimizes binary cross-entropy
-with Adam; all arithmetic is float64 numpy and deterministic under the
-config seed. Only the BiLSTM weights are learned: token vectors are fixed
-inputs, so back-propagation stops at the weight gradients and the input
-reversal of the backward direction has no counterpart there. Scoring a set
-runs in chunks of ``batch_size`` examples.
+Cosine is bounded, so every score lies in [sigmoid(-1), sigmoid(1)]. Padding
+does not move a score: padded positions are excluded from attention logits
+and zeroed in the flattened vectors, and both directions reach the padding
+only after a row's real tokens (the backward one reverses each row within its
+own length, as ``tf.reverse_sequence`` does). A batch therefore runs only to
+its longest real row; the steps after it are cut. Training minimizes binary
+cross-entropy with Adam; all arithmetic is float64 numpy and deterministic
+under the config seed. Only the BiLSTM weights are learned: token vectors are
+fixed inputs, so back-propagation stops at the weight gradients. Scoring a
+set runs in chunks of ``batch_size`` examples.
 """
 
 from __future__ import annotations
@@ -229,30 +227,37 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
     # h_prev is zero at t=0, so that term drops out of the w_h sum.
     return {
         "w_x": flat_a.transpose(0, 2, 1) @ x.reshape(2, steps * rows, -1),
-        "w_h": d_a_all[:, 1:].reshape(2, (steps - 1) * rows, -1).transpose(0, 2, 1)
+        "w_h": d_a_all[:, 1:].reshape(2, (steps - 1) * rows, 4 * hidden).transpose(0, 2, 1)
         @ states[:, :-1].reshape(2, (steps - 1) * rows, hidden),
         "b": flat_a.sum(axis=1),
     }
 
 
-def _bilstm_run(model: QaModel, *parts: np.ndarray):
+def _bilstm_run(model: QaModel, lengths: np.ndarray, *parts: np.ndarray):
     """Run batch-major (batch, steps, dim) inputs of one length through the
-    BiLSTM as one batch, stacked in order; gives (rows, steps, 2*hidden)."""
+    BiLSTM as one batch, stacked in order; gives (rows, steps, 2*hidden).
+    Row r has ``lengths[r]`` real steps, then padding, which either direction
+    reads only after the real ones."""
     x_tm = np.concatenate([x.transpose(1, 0, 2) for x in parts], axis=1)
-    # The backward direction reads the time-reversed input.
-    states, cache = _lstm_run(model.params, np.stack([x_tm, x_tm[::-1]]))
+    steps, rows = x_tm.shape[:2]
+    # Gather index (time, row) of the backward direction's input: L-1-t for
+    # t < L, t after. It is its own inverse, so it also restores time order.
+    t = np.arange(steps)[:, None]
+    reverse = (np.where(t < lengths, lengths - 1 - t, t), np.arange(rows))
+    states, cache = _lstm_run(model.params, np.stack([x_tm, x_tm[reverse]]))
     e = np.concatenate([states[0].transpose(1, 0, 2),
-                        states[1, ::-1].transpose(1, 0, 2)], axis=2)
-    return e, cache
+                        states[1][reverse].transpose(1, 0, 2)], axis=2)
+    return e, (cache, reverse)
 
 
 def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
     """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
     from the gradient of its (rows, steps, 2*hidden) output."""
+    lstm_cache, reverse = cache
     hidden = model.config.hidden_size
-    g_states = np.stack([g_e[:, :, :hidden].transpose(1, 0, 2),
-                         g_e[:, ::-1, hidden:].transpose(1, 0, 2)])
-    return _lstm_back(model.params, cache, g_states)
+    g_tm = g_e.transpose(1, 0, 2)
+    g_states = np.stack([g_tm[..., :hidden], g_tm[..., hidden:][reverse]])
+    return _lstm_back(model.params, lstm_cache, g_states)
 
 
 @dataclass
@@ -272,9 +277,15 @@ class _ForwardCache:
 
 
 def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
-    # One BiLSTM pass over the bug rows and the description rows stacked.
+    # Masks are prefixes, so a row's real length is its mask sum. Steps past
+    # the batch's longest real row are padding everywhere and are cut.
     batch = bug_rows.shape[0]
-    e, bilstm_cache = _bilstm_run(model, bug_rows, desc_rows)
+    lengths = np.concatenate([bug_mask.sum(axis=1), desc_mask.sum(axis=1)]).astype(np.intp)
+    steps = max(1, int(lengths.max()))
+    bug_rows, desc_rows = bug_rows[:, :steps], desc_rows[:, :steps]
+    bug_mask, desc_mask = bug_mask[:, :steps], desc_mask[:, :steps]
+    # One BiLSTM pass over the bug rows and the description rows stacked.
+    e, bilstm_cache = _bilstm_run(model, lengths, bug_rows, desc_rows)
     e_b, e_c = e[:batch], e[batch:]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the

@@ -14,11 +14,13 @@ from patchqa.embed import SequenceMatrix
 
 
 def bilstm_forward(model: qa_model.QaModel, matrix) -> np.ndarray:
-    """Embed one (N, dim) sequence; row t concatenates both direction states."""
+    """Embed one (N, dim) sequence; row t concatenates both direction states.
+    A SequenceMatrix's mask gives its real length; bare rows are all real."""
     rows = matrix.rows if isinstance(matrix, SequenceMatrix) else np.asarray(matrix, float)
     if rows.ndim != 2 or rows.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
-    e, _ = qa_model._bilstm_run(model, rows[None])
+    length = int(matrix.mask.sum()) if isinstance(matrix, SequenceMatrix) else len(rows)
+    e, _ = qa_model._bilstm_run(model, np.array([length]), rows[None])
     return e[0]
 
 
@@ -40,13 +42,16 @@ def lstm_direction(params, d: int, rows) -> np.ndarray:
     return np.array(out)
 
 
-def bilstm_reference(params, rows) -> np.ndarray:
-    """BiLSTM rows of one (N, dim) sequence without the batched code: the
-    forward direction reads rows 0..N-1, the backward one N-1..0, and row t
-    concatenates both states at position t."""
+def bilstm_reference(params, rows, length: int) -> np.ndarray:
+    """BiLSTM rows of one (N, dim) sequence whose first ``length`` rows are
+    real, without the batched code: the forward direction reads rows
+    0..N-1, the backward one length-1..0 and then the padding length..N-1,
+    and row t concatenates both states at position t."""
     rows = np.asarray(rows, dtype=np.float64)
-    return np.concatenate([lstm_direction(params, 0, rows),
-                           lstm_direction(params, 1, rows[::-1])[::-1]], axis=1)
+    order = [*range(length - 1, -1, -1), *range(length, len(rows))]
+    backward = np.empty((len(rows), params["w_h"].shape[2]))
+    backward[order] = lstm_direction(params, 1, rows[order])
+    return np.concatenate([lstm_direction(params, 0, rows), backward], axis=1)
 
 
 def attention_weights(e_b, xc_j, mask_b) -> np.ndarray:

@@ -166,6 +166,15 @@ def trained_checkpoint(small_corpus, tmp_path, capsys):
     return ckpt
 
 
+def test_train_with_one_step_sequences(small_corpus, tmp_path, capsys):
+    code, _, err = run_cli(capsys, [
+        "train", "--dataset", small_corpus, "--model-out", tmp_path / "m.ckpt",
+        "--epochs", "1", "--max-len", "1", "--hidden", "4", "--hash-dim", "8",
+    ])
+    assert code == 0, err
+    assert qa_model.load_model(tmp_path / "m.ckpt").config.max_seq_len == 1
+
+
 def test_train_writes_loadable_checkpoint(trained_checkpoint):
     model = qa_model.load_model(trained_checkpoint)
     assert model.config.epochs == 2
@@ -415,6 +424,20 @@ def test_config_key_no_subcommand_knows_fails_cleanly(
     saved = predict_score(capsys, trained_checkpoint)
     shared = write_config(tmp_path, {"epochs": 1, "k": 3, "fold-seed": 2})
     assert predict_score(capsys, trained_checkpoint, config=shared) == saved
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"hash-dim": 8, "hash_dim": 16}', "'hash-dim' and 'hash_dim'"),
+    ('{"epochs": 1, "epochs": 2}', "'epochs' and 'epochs'"),
+])
+def test_config_keys_naming_one_option_fail_cleanly(small_corpus, tmp_path, capsys,
+                                                     text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, ["--config", config, "hypothesis",
+                                    "--dataset", small_corpus])
+    assert code == 1
+    assert err == f"error: config: {message} name the same option\n"
 
 
 def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_path, capsys):

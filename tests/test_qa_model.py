@@ -19,6 +19,7 @@ from patchqa.qa_model import (
     save_model,
     score,
     score_many,
+    stack_examples,
     train,
 )
 
@@ -90,18 +91,27 @@ def test_reversing_input_swaps_direction_halves():
 def test_batched_bilstm_matches_per_step_reference():
     # Rows of mixed real lengths, zero-padded to one length, run as one batch;
     # each row's forward and backward halves must equal the plain per-step
-    # recurrence over that padded row.
+    # recurrence over that row, the backward one reading the real steps
+    # reversed before the padding.
     rng = np.random.default_rng(4)
     model = make_model(dim=5, hidden=3, max_len=7)
     n, hidden = model.config.max_seq_len, model.config.hidden_size
+    lengths = np.array([7, 1, 4, 0])
     rows = np.zeros((4, n, model.input_dim))
-    for r, length in enumerate((7, 1, 4, 0)):
+    for r, length in enumerate(lengths):
         rows[r, :length] = rng.normal(size=(length, model.input_dim))
-    e, _ = qa_model._bilstm_run(model, rows[:2], rows[2:])
-    for r in range(len(rows)):
-        expected = bilstm_reference(model.params, rows[r])
+    e, (_, reverse) = qa_model._bilstm_run(model, lengths, rows[:2], rows[2:])
+    for r, length in enumerate(lengths):
+        expected = bilstm_reference(model.params, rows[r], length)
         assert np.max(np.abs(e[r, :, :hidden] - expected[:, :hidden])) <= 1e-12
         assert np.max(np.abs(e[r, :, hidden:] - expected[:, hidden:])) <= 1e-12
+    # The gather index reverses each row within its length, keeps padding in
+    # place, and is its own inverse.
+    index, columns = reverse
+    for r, length in enumerate(lengths):
+        assert index[:, r].tolist() == [*range(length - 1, -1, -1), *range(length, n)]
+    assert columns.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(index[reverse], np.broadcast_to(np.arange(n)[:, None], (n, 4)))
 
 
 def test_bilstm_rejects_dim_mismatch():
@@ -237,6 +247,27 @@ def test_batched_scores_equal_single_scores():
     assert batched.shape == (11,)
     for i, ex in enumerate(examples):
         assert abs(batched[i] - score(chunked, ex)) <= 1e-12
+
+
+WORDS = ["parser", "crash", "null", "header", "guard", "empty", "fix", "loop"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(WORDS), max_size=6),
+       st.lists(st.sampled_from(WORDS), max_size=6),
+       st.integers(min_value=1, max_value=40))
+def test_score_does_not_depend_on_max_seq_len(bug_words, desc_words, extra):
+    # While no text is truncated, extra padding must not move a score.
+    provider = HashSeededEmbedding(8, seed=2)
+    shortest = max(1, len(bug_words), len(desc_words))
+    scores = []
+    for n in (shortest, shortest + extra):
+        model = make_model(dim=8, hidden=4, max_len=n)
+        ex = BatchExample(bug=prepare(tokenize(" ".join(bug_words)), provider, n),
+                          description=prepare(tokenize(" ".join(desc_words)), provider, n),
+                          label=1)
+        scores.append(score(model, ex))
+    assert abs(scores[0] - scores[1]) <= 1e-12
 
 
 def test_cosine_orthogonal_gives_half_score():
@@ -383,6 +414,29 @@ def test_training_loss_decreases_on_separable_data():
     model, examples = small_training_setup(n_examples=8)
     _, history = train(model, examples)
     assert history[-1] <= history[0]
+
+
+def test_token_free_batch_scores_half_and_trains():
+    model = make_model(dim=4, hidden=3, max_len=5, epochs=2, batch_size=4)
+    empty = matrix_from(np.zeros((5, 4)), 0)
+    examples = [BatchExample(bug=empty, description=empty, label=i % 2) for i in range(4)]
+    assert score_many(model, examples).tolist() == [0.5] * 4
+    _, history = train(model, examples)
+    assert history == [pytest.approx(math.log(2.0), abs=1e-12)] * 2
+
+
+@pytest.mark.parametrize("max_len", [1, 4])
+def test_one_token_texts_train(max_len):
+    # A batch whose longest text has one token runs a single time step.
+    rng = np.random.default_rng(19)
+    model = make_model(dim=4, hidden=3, max_len=max_len, epochs=2, batch_size=4)
+    examples = [random_example(rng, model, n_bug=1, n_desc=1) for _ in range(4)]
+    batch_loss, grads = batch_loss_and_gradients(model, *stack_examples(examples))
+    assert np.isfinite(batch_loss)
+    # With one step the recurrent input is the zero initial state.
+    assert np.all(grads["w_h"] == 0.0) and np.any(grads["w_x"] != 0.0)
+    _, history = train(model, examples)
+    assert np.all(np.isfinite(history))
 
 
 def test_train_rejects_empty_examples():
