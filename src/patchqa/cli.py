@@ -221,7 +221,7 @@ def cmd_predict(args) -> int:
     threshold = _option(args, "threshold", 0.5)
     example = pipeline.vectorize(bug_text, description, 0, provider,
                                  model.config.max_seq_len)
-    result = qa_model.predict(model, example, threshold)
+    result = qa_model.predict(model, example, provider.table, threshold)
     _emit({"score": result.score, "label": result.label,
            "verdict": "correct" if result.label == 1 else "incorrect",
            "threshold": threshold})
@@ -276,7 +276,7 @@ def _config_values(path, option_types: dict, known: set) -> dict:
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"),
                             object_pairs_hook=_one_key_per_option)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"config: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError("config: expected a JSON object")

@@ -147,6 +147,8 @@ def load_dataset(path) -> Dataset:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except RecursionError:
+                raise DatasetError("invalid JSON: nested too deeply", lineno) from None
             if not isinstance(obj, dict):
                 raise DatasetError("record is not a JSON object", lineno)
             kind = obj.get("kind")

@@ -1,10 +1,13 @@
-"""Tokenization and token-to-vector embedding with dataset standardization.
+"""Tokenization, token ids over one embedding table, and dataset standardization.
 
-Two providers cover both deployment modes: vectors precomputed by an external
-encoder and loaded from a file, and deterministic hash-seeded random vectors
-that need no external artifacts. File-backed lookups fall back to the hashed
-vector for out-of-vocabulary tokens, so coverage gaps never abort a run.
-Providers are immutable after construction; lookups are pure.
+A run keeps one ``Embedding``: a ``(1 + vocab, dim)`` table whose row 0 is
+the zero padding row. The first time a token is seen it gets the next row,
+holding its vector from a vector file (precomputed by an external encoder)
+if the file has one, else a deterministic hash-seeded random vector, so
+coverage gaps never abort a run. A sequence is kept as the ids of its
+tokens; the model gathers table rows batch by batch, as an ``nn.Embedding``
+layer does. Rows never change once given, so ids and vectors are pure
+functions of the tokens, the seed and the file.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FileBackedEmbedding",
-    "HashSeededEmbedding",
-    "SequenceMatrix",
+    "Embedding",
+    "TokenIds",
     "TokenSequence",
     "prepare",
     "standardize",
@@ -35,10 +37,10 @@ class TokenSequence:
 
 
 @dataclass
-class SequenceMatrix:
-    """Fixed-shape embedded sequence; zero rows with mask 0 mark padding."""
+class TokenIds:
+    """Fixed-length table ids of a sequence; id 0 with mask 0 marks padding."""
 
-    rows: np.ndarray  # (max_seq_len, dim)
+    ids: np.ndarray  # (max_seq_len,) int32
     mask: np.ndarray  # (max_seq_len,) of 0.0/1.0
     truncated: bool = False
 
@@ -49,49 +51,36 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tokens)
 
 
-def _token_key(token: str, seed: int) -> int:
+def _hashed_vector(token: str, seed: int, dim: int) -> np.ndarray:
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+    return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
 
 
-class HashSeededEmbedding:
-    """Deterministic pseudo-random unit-variance vectors keyed by (seed, token)."""
+class Embedding:
+    """One table of token vectors, grown a row per new token.
 
-    def __init__(self, dim: int, seed: int = 0):
+    ``vectors`` maps tokens to file vectors; any other token gets
+    unit-variance pseudo-random values keyed by (seed, token).
+    """
+
+    def __init__(self, dim: int, seed: int = 0, vectors: dict[str, np.ndarray] | None = None):
         if dim <= 0:
             raise ValueError("embedding dim must be positive")
         self.dim = dim
         self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
-
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            rng = np.random.default_rng(_token_key(token, self.seed))
-            vec = rng.standard_normal(self.dim)
-            self._cache[token] = vec
-        return vec
-
-
-class FileBackedEmbedding:
-    """Vectors loaded from a text file; unknown tokens use the hashed fallback.
-
-    File format: first line ``dim <D>``; every following non-blank line is
-    ``token v1 v2 ... vD`` with decimal floats. Duplicate tokens, wrong
-    component counts and non-finite values are errors.
-    """
-
-    def __init__(self, dim: int, table: dict[str, np.ndarray], fallback_seed: int = 0):
-        if dim <= 0:
-            raise ValueError("embedding dim must be positive")
-        self.dim = dim
-        self._table = table
-        self._fallback = HashSeededEmbedding(dim, fallback_seed)
+        self._vectors = vectors or {}
+        self._ids: dict[str, int] = {}
+        self._rows: list[np.ndarray] = []  # the vectors of ids 1, 2, ...
+        self._table = np.zeros((0, dim))
 
     @classmethod
-    def load(cls, path, fallback_seed: int = 0) -> "FileBackedEmbedding":
-        table: dict[str, np.ndarray] = {}
+    def load(cls, path, seed: int = 0) -> "Embedding":
+        """Read a vector file: first line ``dim <D>``; every following
+        non-blank line is ``token v1 v2 ... vD`` with decimal floats.
+        Duplicate tokens, wrong component counts and non-finite values are
+        errors."""
+        vectors: dict[str, np.ndarray] = {}
         with open(path, encoding="utf-8") as fh:
             first = fh.readline().split()
             if len(first) != 2 or first[0] != "dim":
@@ -104,7 +93,7 @@ class FileBackedEmbedding:
                     continue
                 parts = raw.split()
                 token = parts[0]
-                if token in table:
+                if token in vectors:
                     raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
                 if len(parts) != dim + 1:
                     raise ValueError(
@@ -113,29 +102,38 @@ class FileBackedEmbedding:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
                 if not np.all(np.isfinite(vec)):
                     raise ValueError(f"{path}:{lineno}: non-finite component")
-                table[token] = vec
-        return cls(dim, table, fallback_seed)
+                vectors[token] = vec
+        return cls(dim, seed, vectors)
 
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self._table.get(token)
-        if vec is None:
-            return self._fallback.lookup(token)
-        return vec
+    def ids(self, tokens) -> list[int]:
+        """The table row of each token; a new token gets the next row."""
+        for token in tokens:
+            if token not in self._ids:
+                vec = self._vectors.get(token)
+                if vec is None:
+                    vec = _hashed_vector(token, self.seed, self.dim)
+                self._rows.append(vec)
+                self._ids[token] = len(self._rows)
+        return [self._ids[token] for token in tokens]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (1 + vocab, dim) array of every row given so far. It is built
+        on the first read after new tokens, so read it once ids are assigned."""
+        if len(self._table) != 1 + len(self._rows):
+            self._table = np.array([np.zeros(self.dim), *self._rows])
+        return self._table
 
 
-def prepare(seq: TokenSequence, provider, max_seq_len: int) -> SequenceMatrix:
-    """Embed the first ``max_seq_len`` tokens row-wise, zero-padding the tail."""
+def prepare(seq: TokenSequence, provider: Embedding, max_seq_len: int) -> TokenIds:
+    """Ids of the first ``max_seq_len`` tokens, zero-padded at the tail."""
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be >= 1")
-    if provider.dim <= 0:
-        raise ValueError("provider dim must be positive")
     tokens = seq.tokens[:max_seq_len]
-    rows = np.zeros((max_seq_len, provider.dim), dtype=np.float64)
-    for i, token in enumerate(tokens):
-        rows[i] = provider.lookup(token)
-    mask = np.zeros(max_seq_len, dtype=np.float64)
-    mask[: len(tokens)] = 1.0
-    return SequenceMatrix(rows=rows, mask=mask, truncated=len(seq.tokens) > max_seq_len)
+    ids = np.zeros(max_seq_len, dtype=np.int32)
+    ids[: len(tokens)] = provider.ids(tokens)
+    mask = (ids > 0).astype(np.float64)  # real tokens have ids from 1
+    return TokenIds(ids=ids, mask=mask, truncated=len(seq.tokens) > max_seq_len)
 
 
 def standardize(vectors) -> np.ndarray:
@@ -155,9 +153,6 @@ def standardize(vectors) -> np.ndarray:
     return np.where(std > 0.0, (x - mean) / safe, 0.0)
 
 
-def text_vector(text: str, provider) -> np.ndarray:
-    """Mean of the token vectors; the zero vector for token-free text."""
-    seq = tokenize(text)
-    if not seq.tokens:
-        return np.zeros(provider.dim, dtype=np.float64)
-    return np.mean([provider.lookup(t) for t in seq.tokens], axis=0)
+def text_vector(ids, table: np.ndarray) -> np.ndarray:
+    """Mean of the table rows of ``ids``; no ids read the zero padding row."""
+    return table[list(ids) or [0]].mean(axis=0)

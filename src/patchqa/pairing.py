@@ -172,12 +172,6 @@ class FoldPlan:
             sort_keys=True, indent=2,
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        obj = json.loads(text)
-        return cls(k=int(obj["k"]), seed=int(obj["seed"]),
-                   assignments={str(b): int(g) for b, g in obj["assignments"].items()})
-
 
 def make_fold_plan(bug_ids, k: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle of the bug ids, then round-robin assignment."""

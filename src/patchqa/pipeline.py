@@ -56,13 +56,13 @@ class EmbeddingSpec:
     seed: int = 0
     path: str | None = None
 
-    def build(self):
+    def build(self) -> embed.Embedding:
         if self.kind == "hash":
-            return embed.HashSeededEmbedding(self.dim, self.seed)
+            return embed.Embedding(self.dim, self.seed)
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file-backed embedding needs a path")
-            provider = embed.FileBackedEmbedding.load(self.path, fallback_seed=self.seed)
+            provider = embed.Embedding.load(self.path, self.seed)
             self.dim = provider.dim
             return provider
         raise ValueError(f"unknown embedding kind {self.kind!r}")
@@ -151,8 +151,8 @@ def dataset_summary(ds: corpus.Dataset, duplicates_removed: int) -> dict:
 
 def vectorize(bug_text: str, description_text: str, label: int, provider,
               max_seq_len: int) -> qa_model.BatchExample:
-    """Model input for one text pair: both sides tokenized, embedded and
-    padded to ``max_seq_len``."""
+    """Model input for one text pair: both sides tokenized, turned into ids
+    of ``provider``'s table and padded to ``max_seq_len``."""
     return qa_model.BatchExample(
         bug=embed.prepare(embed.tokenize(bug_text), provider, max_seq_len),
         description=embed.prepare(embed.tokenize(description_text), provider, max_seq_len),
@@ -166,16 +166,16 @@ def vectorize_examples(examples, provider, max_seq_len: int) -> list[qa_model.Ba
 
 def score_examples(model: qa_model.QaModel, examples, provider) -> np.ndarray:
     batch = vectorize_examples(examples, provider, model.config.max_seq_len)
-    return qa_model.score_many(model, batch)
+    return qa_model.score_many(model, batch, provider.table)
 
 
 def _embed_examples(config: RunConfig, examples):
-    """Build the run's token vectors and vectorize every example; returns
-    (model inputs aligned with examples, input dim, checkpoint metadata)."""
+    """Build the run's embedding and vectorize every example; returns (model
+    inputs aligned with examples, the embedding table, checkpoint metadata)."""
     provider = _stage("embedding", config.embedding.build)
     batch = _stage("embedding", vectorize_examples, examples, provider,
                    config.model.max_seq_len)
-    return batch, provider.dim, {"embedding": config.embedding.describe()}
+    return batch, provider.table, {"embedding": config.embedding.describe()}
 
 
 @dataclass
@@ -225,7 +225,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
                   config.fold_seed)
-    batch, input_dim, metadata = _embed_examples(config, examples)
+    batch, table, metadata = _embed_examples(config, examples)
     vectors = dict(zip(examples, batch))
     per_fold = []
     folds = []
@@ -235,10 +235,10 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
             progress(group, config.k)
         train_examples, test_examples = pairing.fold_split(examples, plan, group)
         train_batch = [vectors[ex] for ex in train_examples]
-        fold_model = qa_model.QaModel.create(config.model, input_dim, metadata)
+        fold_model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
         _, history = _stage(f"training fold {group}", qa_model.train,
-                            fold_model, train_batch)
-        scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples])
+                            fold_model, train_batch, table)
+        scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples], table)
         fold_rows = _score_rows(test_examples, scores)
         sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
         at = sweep.rows[0]
@@ -308,9 +308,9 @@ def run_train(config: RunConfig):
     """Train one model on every labeled example; returns (model, info), where
     info holds the example counts and the loss per epoch."""
     examples, removed = _load_examples(config.dataset, config.pair_seed)
-    batch, input_dim, metadata = _embed_examples(config, examples)
-    model = qa_model.QaModel.create(config.model, input_dim, metadata)
-    _, history = _stage("training", qa_model.train, model, batch)
+    batch, table, metadata = _embed_examples(config, examples)
+    model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
+    _, history = _stage("training", qa_model.train, model, batch, table)
     info = {
         "examples": len(examples),
         "positives": sum(1 for ex in examples if ex.label == 1),
@@ -366,9 +366,10 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     if len(pairs) < 2:
         raise ValueError("hypothesis study needs at least 2 bugs with developer "
                          "patch descriptions")
-    bug_vectors = np.stack([embed.text_vector(t, provider) for _, t, _ in pairs])
-    desc_vectors = np.stack([embed.text_vector(d, provider) for _, _, d in pairs])
-    standardized = embed.standardize(np.vstack([bug_vectors, desc_vectors]))
+    # Every text's ids first (bug, description, bug, ...), so the table is built once.
+    ids = [provider.ids(embed.tokenize(text).tokens) for pair in pairs for text in pair[1:]]
+    vectors = np.stack([embed.text_vector(text_ids, provider.table) for text_ids in ids])
+    standardized = embed.standardize(np.vstack([vectors[0::2], vectors[1::2]]))
     n = len(pairs)
     bug_std = standardized[:n]
     desc_std = standardized[n:]
@@ -424,7 +425,7 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
             wrong = others[int(rng.integers(len(others)))]
             swapped = vectorize(bug_texts[wrong], ex.description_text, 1, provider, max_len)
             before.append(float(fold.scores[idx]))
-            after.append(qa_model.score(fold.model, swapped))
+            after.append(qa_model.score(fold.model, swapped, provider.table))
     if not before:
         raise ValueError("no recalled positives available to ablate")
     lost = sum(1 for value in after if value < threshold)

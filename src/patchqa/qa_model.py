@@ -19,9 +19,10 @@ only after a row's real tokens (the backward one reverses each row within its
 own length, as ``tf.reverse_sequence`` does). A batch therefore runs only to
 its longest real row; the steps after it are cut. Training minimizes binary
 cross-entropy with Adam; all arithmetic is float64 numpy and deterministic
-under the config seed. Only the BiLSTM weights are learned: token vectors are
-fixed inputs, so back-propagation stops at the weight gradients. Scoring a
-set runs in chunks of ``batch_size`` examples.
+under the config seed. Examples hold token ids: each training batch and each
+scoring chunk of ``batch_size`` examples gathers its rows from the run's
+embedding table. Only the BiLSTM weights are learned; the table is fixed, so
+back-propagation stops at the weight gradients.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embed import SequenceMatrix
+from .embed import TokenIds
 
 __all__ = [
     "Adam",
@@ -101,8 +102,8 @@ class ModelConfig:
 
 @dataclass
 class BatchExample:
-    bug: SequenceMatrix
-    description: SequenceMatrix
+    bug: TokenIds
+    description: TokenIds
     label: int
 
 
@@ -337,26 +338,30 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
 
 
 def stack_examples(examples: list[BatchExample]):
-    """Stack examples into (bug_rows, bug_mask, desc_rows, desc_mask, labels)."""
-    bug_rows = np.stack([ex.bug.rows for ex in examples])
+    """Stack examples into (bug_ids, bug_mask, desc_ids, desc_mask, labels)."""
+    bug_ids = np.stack([ex.bug.ids for ex in examples])
     bug_mask = np.stack([ex.bug.mask for ex in examples]).astype(np.float64)
-    desc_rows = np.stack([ex.description.rows for ex in examples])
+    desc_ids = np.stack([ex.description.ids for ex in examples])
     desc_mask = np.stack([ex.description.mask for ex in examples]).astype(np.float64)
     labels = np.array([float(ex.label) for ex in examples])
-    return bug_rows, bug_mask, desc_rows, desc_mask, labels
+    return bug_ids, bug_mask, desc_ids, desc_mask, labels
 
 
-def score(model: QaModel, example: BatchExample) -> float:
+def _score_chunk(model: QaModel, examples: list[BatchExample], table: np.ndarray):
+    bug_ids, bug_mask, desc_ids, desc_mask, _ = stack_examples(examples)
+    return _forward_batch(model, table[bug_ids], bug_mask, table[desc_ids], desc_mask)[0]
+
+
+def score(model: QaModel, example: BatchExample, table: np.ndarray) -> float:
     """Match probability for one example, in [SCORE_FLOOR, SCORE_CEILING]."""
-    scores, _ = _forward_batch(model, *stack_examples([example])[:4])
-    return float(scores[0])
+    return float(_score_chunk(model, [example], table)[0])
 
 
-def score_many(model: QaModel, examples: list[BatchExample]) -> np.ndarray:
-    """Scores in example order. Examples are stacked and scored in chunks of
+def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) -> np.ndarray:
+    """Scores in example order, gathered from ``table`` and scored in chunks of
     ``batch_size``, so memory follows the chunk, not the whole set."""
     size = model.config.batch_size
-    chunks = [_forward_batch(model, *stack_examples(examples[i:i + size])[:4])[0]
+    chunks = [_score_chunk(model, examples[i:i + size], table)
               for i in range(0, len(examples), size)]
     return np.concatenate(chunks) if chunks else np.empty(0)
 
@@ -394,21 +399,21 @@ class Adam:
             value -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
 
-def train(model: QaModel, examples: list[BatchExample],
-          config: ModelConfig | None = None):
-    """Adam-train in place; returns the model and per-epoch mean loss.
+def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
+    """Adam-train in place on examples indexing ``table``; returns the model
+    and per-epoch mean loss.
 
-    Deterministic given config.seed: the per-epoch shuffles come from one
+    Deterministic given the config seed: the per-epoch shuffles come from one
     seeded generator, batches run in order and gradients accumulate in fixed
     order. The epoch count is fixed; there is no early stopping.
     """
-    cfg = config if config is not None else model.config
+    cfg = model.config
     cfg.validate()
     if not examples:
         raise ValueError("need at least one training example")
-    bug_rows, bug_mask, desc_rows, desc_mask, labels = stack_examples(examples)
-    if bug_rows.shape[2] != model.input_dim:
+    if table.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
+    bug_ids, bug_mask, desc_ids, desc_mask, labels = stack_examples(examples)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, cfg.learning_rate)
     history: list[float] = []
@@ -419,8 +424,8 @@ def train(model: QaModel, examples: list[BatchExample],
         for start in range(0, count, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             batch_loss, grads = batch_loss_and_gradients(
-                model, bug_rows[idx], bug_mask[idx], desc_rows[idx], desc_mask[idx],
-                labels[idx],
+                model, table[bug_ids[idx]], bug_mask[idx], table[desc_ids[idx]],
+                desc_mask[idx], labels[idx],
             )
             if not np.isfinite(batch_loss):
                 raise TrainingError(
@@ -432,11 +437,12 @@ def train(model: QaModel, examples: list[BatchExample],
     return model, history
 
 
-def predict(model: QaModel, example: BatchExample, threshold: float) -> Prediction:
+def predict(model: QaModel, example: BatchExample, table: np.ndarray,
+            threshold: float) -> Prediction:
     """Classify one example; ties at the threshold classify as correct."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    s = score(model, example)
+    s = score(model, example, table)
     return Prediction(label=1 if s >= threshold else 0, score=s)
 
 
@@ -485,7 +491,8 @@ def load_model(path) -> QaModel:
             raise ValueError("input_dim must be a positive integer, metadata an object")
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint header lacks {exc}") from None
-    except (TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+    # JSON and UTF-8 errors are ValueErrors; JSON nested too deeply, a RecursionError.
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
     hidden = config.hidden_size
     shapes = dict(zip(_TENSOR_ORDER,

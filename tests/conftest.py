@@ -7,10 +7,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import json
 
+import numpy as np
 import pytest
 
 from patchqa import qa_model
 from patchqa.corpus import load_dataset
+from patchqa.embed import TokenIds
+from patchqa.pairing import FoldPlan
 
 
 def write_jsonl(path, records):
@@ -64,3 +67,19 @@ def rewrite_checkpoint(blob: bytes, edit_header=None, tail=None) -> bytes:
     text = json.dumps(header).encode("utf-8")
     data = blob[end:] if tail is None else tail(blob[end:])
     return magic + len(text).to_bytes(8, "little") + text + data
+
+
+def read_fold_plan(text: str) -> FoldPlan:
+    """The FoldPlan a ``foldplan.json`` text records."""
+    obj = json.loads(text)
+    return FoldPlan(k=int(obj["k"]), seed=int(obj["seed"]),
+                    assignments={str(b): int(g) for b, g in obj["assignments"].items()})
+
+
+def token_ids(ids, max_len: int) -> TokenIds:
+    """A side holding table ids ``ids``, zero-padded to ``max_len``."""
+    padded = np.zeros(max_len, dtype=np.int32)
+    padded[:len(ids)] = ids
+    mask = np.zeros(max_len)
+    mask[:len(ids)] = 1.0
+    return TokenIds(ids=padded, mask=mask)

@@ -10,16 +10,15 @@ import math
 import numpy as np
 
 from patchqa import qa_model
-from patchqa.embed import SequenceMatrix
 
 
-def bilstm_forward(model: qa_model.QaModel, matrix) -> np.ndarray:
-    """Embed one (N, dim) sequence; row t concatenates both direction states.
-    A SequenceMatrix's mask gives its real length; bare rows are all real."""
-    rows = matrix.rows if isinstance(matrix, SequenceMatrix) else np.asarray(matrix, float)
+def bilstm_forward(model: qa_model.QaModel, rows, length: int | None = None) -> np.ndarray:
+    """Embed one (N, dim) sequence whose first ``length`` rows are real (all
+    of them by default); row t concatenates both direction states."""
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
-    length = int(matrix.mask.sum()) if isinstance(matrix, SequenceMatrix) else len(rows)
+    length = len(rows) if length is None else length
     e, _ = qa_model._bilstm_run(model, np.array([length]), rows[None])
     return e[0]
 

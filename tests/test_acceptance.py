@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from patchqa import pipeline, qa_model, synth
-from patchqa.embed import SequenceMatrix
 from patchqa.metrics import ConfusionMatrix, auc, minus_recall, mww_test, plus_recall
-from patchqa.pairing import FoldPlan, build_examples, fold_split
+from patchqa.pairing import build_examples, fold_split
 from patchqa.qa_model import BatchExample, ModelConfig, QaModel
+
+from conftest import read_fold_plan, token_ids
 
 SEEDS = {"corpus": 11, "embedding": 5, "model": 1, "fold": 2, "pair": 3}
 
@@ -154,24 +155,22 @@ def test_criterion_3_score_range_invariant():
     rng = np.random.default_rng(331)
     model = QaModel.create(ModelConfig(max_seq_len=12, hidden_size=5, seed=9), 6)
     n, dim = 12, 6
+    table = [np.zeros(dim)]  # embedding rows; row 0 is the padding row
+
+    def side(vectors):
+        ids = range(len(table), len(table) + len(vectors))
+        table.extend(vectors)
+        return token_ids(ids, n)
+
     examples = []
     for _ in range(1000):
         scale = float(rng.choice([0.1, 1.0, 10.0]))
-        bug = np.zeros((n, dim))
         n_bug = int(rng.integers(1, n + 1))
-        bug[:n_bug] = rng.normal(size=(n_bug, dim)) * scale
-        desc = np.zeros((n, dim))
+        bug = side(rng.normal(size=(n_bug, dim)) * scale)
         n_desc = int(rng.integers(1, n + 1))
-        desc[:n_desc] = rng.normal(size=(n_desc, dim)) * scale
-        bug_mask = np.zeros(n)
-        bug_mask[:n_bug] = 1.0
-        desc_mask = np.zeros(n)
-        desc_mask[:n_desc] = 1.0
         examples.append(BatchExample(
-            bug=SequenceMatrix(rows=bug, mask=bug_mask),
-            description=SequenceMatrix(rows=desc, mask=desc_mask),
-            label=0))
-    scores = qa_model.score_many(model, examples)
+            bug=bug, description=side(rng.normal(size=(n_desc, dim)) * scale), label=0))
+    scores = qa_model.score_many(model, examples, np.array(table))
     low, high = 0.26894, 0.73107
     assert np.all(scores >= low), f"min score {scores.min()}"
     assert np.all(scores <= high), f"max score {scores.max()}"
@@ -205,7 +204,7 @@ def test_criterion_4_synthetic_separability(big_run):
 def test_criterion_5_leakage_freedom(big_run):
     from pathlib import Path
 
-    plan = FoldPlan.from_json(
+    plan = read_fold_plan(
         (Path(big_run.out_dir) / "foldplan.json").read_text(encoding="utf-8"))
     ds, _ = pipeline.load_deduped(big_run.corpus_path)
     examples = build_examples(ds, big_run.config.pair_seed)

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from patchqa import pipeline, qa_model, synth
 from patchqa.cli import main
 from patchqa.corpus import load_dataset
-from patchqa.pairing import FoldPlan
 
-from conftest import bug, description, patch, rewrite_checkpoint, write_jsonl
+from conftest import (bug, description, patch, read_fold_plan, rewrite_checkpoint,
+                      write_jsonl)
 
 FAST_MODEL = ["--epochs", "2", "--hidden", "4", "--max-len", "16",
               "--batch", "32", "--hash-dim", "8"]
@@ -92,7 +92,7 @@ def test_crossval_outputs_and_fold_audit(small_corpus, tmp_path, capsys):
     assert report["config"]["fold_seed"] == 2
     assert report["config"]["pair_seed"] == 3
     assert report["config"]["model"]["seed"] == 1
-    plan = FoldPlan.from_json((out_dir / "foldplan.json").read_text())
+    plan = read_fold_plan((out_dir / "foldplan.json").read_text())
     assert plan.k == 10
     # every bug appears in exactly one group; counts differ by at most one
     assert sorted(plan.assignments) == sorted(f"bug-{i:04d}" for i in range(30))
@@ -530,6 +530,113 @@ def test_fuzzed_checkpoint_header_predicts_or_fails_cleanly(fuzz_base, edits):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["predict", "--model", str(ckpt), *PAIR])
+    # An exception escaping main fails the test by itself.
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# --- input files nested too deeply for the JSON decoder -----------------------------
+
+DEEP = 200_000
+
+
+@pytest.mark.parametrize("target, message", [
+    ("dataset", "error: line 1: invalid JSON"),
+    ("config", "error: config: "),
+    ("checkpoint", "bad checkpoint header"),
+])
+def test_deeply_nested_json_fails_cleanly(tmp_path, capsys, target, message):
+    path = tmp_path / "deep"
+    dataset = write_jsonl(tmp_path / "d.jsonl", [bug("B-1")])
+    if target == "dataset":
+        path.write_text("[" * DEEP + "\n", encoding="utf-8")
+        argv = ["ingest", "--dataset", path]
+    elif target == "config":
+        path.write_text('{"a":' * DEEP, encoding="utf-8")
+        argv = ["--config", path, "ingest", "--dataset", dataset]
+    else:
+        blob = b"[" * DEEP
+        path.write_bytes(qa_model._CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+        argv = ["predict", "--model", path, *PAIR]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert out == ""
+
+
+# --- byte-mutation fuzz of every input file, through the CLI --------------------------
+
+# Bytes that make or break the structure of JSON, numbers and diffs.
+STRUCTURAL = st.sampled_from([b"[", b"{", b'"', b",", b":", b"-", b"9", b".", b"e",
+                              b"\n", b" ", b"@", b"+"])
+
+
+@st.composite
+def byte_edits(draw, base: bytes) -> bytes:
+    """``base`` with one to four bytes replaced, inserted or deleted, or cut short."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete", "cut")))
+        if kind == "replace" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[at:at] = draw(STRUCTURAL | st.binary(min_size=1, max_size=3))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif kind == "cut":
+            del data[at:]
+    return bytes(data)
+
+
+# The command each input file goes through; {file} is the fuzzed copy. None of
+# them trains.
+FUZZ_COMMANDS = {
+    "dataset": ["ingest", "--dataset", "{file}"],
+    "vectors": ["hypothesis", "--dataset", "{dataset}", "--embeddings", "{file}"],
+    "diff": ["predict", "--model", "{model}", "--bug-text", "widget crash",
+             "--diff-file", "{file}"],
+    "checkpoint": ["predict", "--model", "{file}", *PAIR],
+    "config": ["--config", "{file}", "predict", "--model", "{model}", *PAIR],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(fuzz_base):
+    """The directory and the well-formed bytes of each fuzzed input file."""
+    root, ckpt_blob = fuzz_base
+    other_diff = "--- a/src/Parser.java\n+++ b/src/Parser.java\n@@ -4,2 +4,3 @@\n" \
+                 " line = read();\n+if (line.isEmpty()) return;\n parse(line);\n"
+    dataset = write_jsonl(root / "inputs.jsonl", [
+        bug("B-1"), patch("P-1", "B-1"), description("P-1"),
+        bug("B-2", title="Parser fails on empty header", body="See log."),
+        patch("P-2", "B-2", diff=other_diff),
+        description("P-2", text="skip empty header lines"),
+    ])
+    tokens = "widget crashes on empty input guard against parser header".split()
+    vectors = "dim 8\n" + "".join(
+        f"{token} " + " ".join(f"{(i * 8 + j) % 7 - 3.5:.2f}" for j in range(8)) + "\n"
+        for i, token in enumerate(tokens))
+    config = json.dumps({"hash-dim": 8, "hash-seed": 0, "threshold": 0.5, "pair-seed": 1})
+    return root, {"dataset": dataset.read_bytes(), "vectors": vectors.encode(),
+                  "diff": patch("P", "B")["diff"].encode(), "checkpoint": ckpt_blob,
+                  "config": config.encode()}
+
+
+@pytest.mark.parametrize("target", sorted(FUZZ_COMMANDS))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_input_file_runs_or_fails_cleanly(fuzz_inputs, target, data):
+    root, bases = fuzz_inputs
+    path = root / f"fuzzed-{target}"
+    path.write_bytes(data.draw(byte_edits(bases[target]), label=target))
+    names = {"file": path, "dataset": root / "inputs.jsonl", "model": root / "base.ckpt"}
+    argv = [arg.format(**names) for arg in FUZZ_COMMANDS[target]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     # An exception escaping main fails the test by itself.
     assert code in (0, 1)
     if code == 1:

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patchqa.embed import (
-    FileBackedEmbedding,
-    HashSeededEmbedding,
+    Embedding,
     TokenSequence,
     prepare,
     standardize,
@@ -62,44 +61,84 @@ def test_tokenize_case_study_title():
     assert list(tokenize(title).tokens) == expected
 
 
-# --- providers ---------------------------------------------------------------
+# --- the embedding table -----------------------------------------------------
+
+
+def vector(provider, token):
+    """The table row ``provider`` gives ``token``."""
+    (row,) = provider.ids([token])
+    return provider.table[row]
 
 
 def test_hash_seeded_deterministic():
-    provider = HashSeededEmbedding(8, seed=7)
-    v1 = provider.lookup("x")
-    v2 = provider.lookup("x")
+    provider = Embedding(8, seed=7)
+    v1 = vector(provider, "x")
+    v2 = vector(provider, "x")
     assert np.array_equal(v1, v2)
-    fresh = HashSeededEmbedding(8, seed=7)
-    assert np.array_equal(fresh.lookup("x"), v1)
+    fresh = Embedding(8, seed=7)
+    assert np.array_equal(vector(fresh, "x"), v1)
 
 
 def test_hash_seeded_varies_with_seed_and_token():
-    a = HashSeededEmbedding(8, seed=7).lookup("x")
-    b = HashSeededEmbedding(8, seed=8).lookup("x")
-    c = HashSeededEmbedding(8, seed=7).lookup("y")
+    a = vector(Embedding(8, seed=7), "x")
+    b = vector(Embedding(8, seed=8), "x")
+    c = vector(Embedding(8, seed=7), "y")
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_hash_seeded_vectors_finite_and_sized():
-    provider = HashSeededEmbedding(16, seed=0)
+    provider = Embedding(16, seed=0)
     for token in ("alpha", "beta", "#", "_"):
-        vec = provider.lookup(token)
+        vec = vector(provider, token)
         assert vec.shape == (16,)
         assert np.all(np.isfinite(vec))
 
 
 def test_hash_seeded_unit_variance_statistically():
-    provider = HashSeededEmbedding(64, seed=3)
-    values = np.concatenate([provider.lookup(f"tok{i}") for i in range(200)])
+    provider = Embedding(64, seed=3)
+    provider.ids([f"tok{i}" for i in range(200)])
+    values = provider.table[1:].ravel()
     assert abs(values.std() - 1.0) < 0.02
     assert abs(values.mean()) < 0.02
 
 
 def test_hash_seeded_rejects_bad_dim():
     with pytest.raises(ValueError):
-        HashSeededEmbedding(0, seed=1)
+        Embedding(0, seed=1)
+
+
+def test_table_row_zero_is_padding():
+    provider = Embedding(4, seed=1)
+    side = prepare(tokenize("one two"), provider, 5)
+    assert side.ids.tolist() == [1, 2, 0, 0, 0]
+    assert np.all(provider.table[0] == 0.0)
+    assert provider.table.shape == (3, 4)
+
+
+def test_repeated_token_keeps_its_id():
+    provider = Embedding(4, seed=1)
+    assert provider.ids(["a", "b", "a"]) == [1, 2, 1]
+    table = provider.table
+    assert provider.ids(["b", "a"]) == [2, 1]
+    # No new token, so the table is not rebuilt; a new one appends a row.
+    assert provider.table is table
+    assert provider.ids(["c"]) == [3]
+    assert provider.table.shape == (4, 4)
+    assert np.array_equal(provider.table[:3], table)
+
+
+def test_missing_tokens_get_the_hashed_draw(tmp_path):
+    # A row holds the token's own draw, whatever id it gets and whatever the
+    # file holds for other tokens.
+    path = _write_vectors(tmp_path / "vec.txt", ["dim 3", "alpha 1.0 2.0 3.0"])
+    provider = Embedding.load(path, seed=9)
+    hashed = Embedding(3, seed=9)
+    hashed.ids(["zeta", "alpha"])
+    assert provider.ids(["alpha", "zeta"]) == [1, 2]
+    assert np.array_equal(provider.table[1], [1.0, 2.0, 3.0])
+    assert np.array_equal(provider.table[2], hashed.table[1])
+    assert not np.array_equal(hashed.table[2], provider.table[1])
 
 
 def _write_vectors(path, lines):
@@ -113,81 +152,80 @@ def test_file_backed_lookup_and_fallback(tmp_path):
         "alpha 1.0 2.0 3.0",
         "beta 0.5 -0.5 0.25",
     ])
-    provider = FileBackedEmbedding.load(path, fallback_seed=9)
-    assert np.array_equal(provider.lookup("alpha"), [1.0, 2.0, 3.0])
-    unknown = provider.lookup("missing")
-    assert np.array_equal(unknown, HashSeededEmbedding(3, seed=9).lookup("missing"))
+    provider = Embedding.load(path, seed=9)
+    assert np.array_equal(vector(provider, "alpha"), [1.0, 2.0, 3.0])
+    assert np.array_equal(vector(provider, "beta"), [0.5, -0.5, 0.25])
+    unknown = vector(provider, "missing")
+    assert np.array_equal(unknown, vector(Embedding(3, seed=9), "missing"))
 
 
 def test_file_backed_duplicate_token(tmp_path):
     path = _write_vectors(tmp_path / "vec.txt", ["dim 2", "a 1 2", "a 3 4"])
     with pytest.raises(ValueError, match="duplicate token"):
-        FileBackedEmbedding.load(path)
+        Embedding.load(path)
 
 
 def test_file_backed_bad_header(tmp_path):
     path = _write_vectors(tmp_path / "vec.txt", ["vectors 2", "a 1 2"])
     with pytest.raises(ValueError, match="dim"):
-        FileBackedEmbedding.load(path)
+        Embedding.load(path)
 
 
 def test_file_backed_wrong_component_count(tmp_path):
     path = _write_vectors(tmp_path / "vec.txt", ["dim 3", "a 1 2"])
     with pytest.raises(ValueError, match="expected 3"):
-        FileBackedEmbedding.load(path)
+        Embedding.load(path)
 
 
 def test_file_backed_non_finite(tmp_path):
     path = _write_vectors(tmp_path / "vec.txt", ["dim 2", "a 1 inf"])
     with pytest.raises(ValueError, match="non-finite"):
-        FileBackedEmbedding.load(path)
+        Embedding.load(path)
 
 
 # --- prepare -----------------------------------------------------------------
 
 
 def test_prepare_pads_and_masks():
-    provider = HashSeededEmbedding(8, seed=1)
-    matrix = prepare(tokenize("one two three"), provider, 64)
-    assert matrix.rows.shape == (64, 8)
-    assert matrix.mask.sum() == 3
-    assert not matrix.truncated
-    assert np.all(matrix.rows[3:] == 0.0)
-    assert np.all(matrix.mask[3:] == 0.0)
+    provider = Embedding(8, seed=1)
+    side = prepare(tokenize("one two three"), provider, 64)
+    assert side.ids.shape == (64,)
+    assert np.issubdtype(side.ids.dtype, np.integer)
+    assert side.mask.sum() == 3
+    assert not side.truncated
+    assert side.ids[:3].tolist() == [1, 2, 3]
+    assert np.all(side.ids[3:] == 0)
+    assert np.all(side.mask[3:] == 0.0)
 
 
 def test_prepare_truncates():
-    provider = HashSeededEmbedding(4, seed=1)
+    provider = Embedding(4, seed=1)
     text = " ".join(f"t{i}" for i in range(100))
-    matrix = prepare(tokenize(text), provider, 64)
-    assert matrix.truncated
-    assert matrix.mask.sum() == 64
+    side = prepare(tokenize(text), provider, 64)
+    assert side.truncated
+    assert side.mask.sum() == 64
+    # Cut tokens get no row.
+    assert provider.table.shape == (65, 4)
 
 
 def test_prepare_shape_fixed_regardless_of_input():
-    provider = HashSeededEmbedding(4, seed=1)
+    provider = Embedding(4, seed=1)
     for text in ("", "a", " ".join("x" * 90)):
-        assert prepare(tokenize(text), provider, 16).rows.shape == (16, 4)
+        assert prepare(tokenize(text), provider, 16).ids.shape == (16,)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=20))
 def test_prepare_mask_sum_property(n_tokens, max_len):
-    provider = HashSeededEmbedding(3, seed=2)
+    provider = Embedding(3, seed=2)
     seq = TokenSequence(tuple(f"t{i}" for i in range(n_tokens)))
-    matrix = prepare(seq, provider, max_len)
-    assert matrix.mask.sum() == min(n_tokens, max_len)
+    side = prepare(seq, provider, max_len)
+    assert side.mask.sum() == min(n_tokens, max_len)
 
 
 def test_prepare_rejects_bad_args():
-    provider = HashSeededEmbedding(4, seed=1)
+    provider = Embedding(4, seed=1)
     with pytest.raises(ValueError):
         prepare(tokenize("a"), provider, 0)
-
-    class BadProvider:
-        dim = 0
-
-    with pytest.raises(ValueError):
-        prepare(tokenize("a"), BadProvider(), 8)
 
 
 # --- standardize -------------------------------------------------------------
@@ -224,8 +262,9 @@ def test_standardize_needs_two_vectors():
 
 
 def test_text_vector_mean_pooling():
-    provider = HashSeededEmbedding(6, seed=4)
-    vec = text_vector("alpha beta", provider)
-    expected = (provider.lookup("alpha") + provider.lookup("beta")) / 2
+    provider = Embedding(6, seed=4)
+    ids = provider.ids(tokenize("alpha beta").tokens)
+    vec = text_vector(ids, provider.table)
+    expected = (vector(provider, "alpha") + vector(provider, "beta")) / 2
     assert np.allclose(vec, expected)
-    assert np.array_equal(text_vector("", provider), np.zeros(6))
+    assert np.array_equal(text_vector([], provider.table), np.zeros(6))

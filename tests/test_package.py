@@ -35,3 +35,15 @@ def test_every_export_has_a_caller():
         exported = getattr(importlib.import_module(module), "__all__", ())
         unused += [f"{module}.{name}" for name in exported if not counts[name]]
     assert unused == [], "exported, but nothing in src/, scripts/ or perfbench/ uses it"
+
+
+def test_every_public_method_has_a_caller():
+    counts = referenced_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            unused += [f"{path.stem}.{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not node.name.startswith("_") and not counts[node.name]]
+    assert unused == [], "public method, but nothing in src/, scripts/ or perfbench/ calls it"

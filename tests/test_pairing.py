@@ -17,7 +17,7 @@ from patchqa.pairing import (
     resolve_description,
 )
 
-from conftest import bug, description, patch, write_jsonl
+from conftest import bug, description, patch, read_fold_plan, write_jsonl
 
 
 def load(tmp_path, records, name="d.jsonl"):
@@ -216,7 +216,7 @@ def test_fold_plan_rejects_bad_k():
 
 def test_fold_plan_json_roundtrip():
     plan = make_fold_plan({f"B-{i}" for i in range(12)}, 4, seed=3)
-    again = FoldPlan.from_json(plan.to_json())
+    again = read_fold_plan(plan.to_json())
     assert again == plan
     parsed = json.loads(plan.to_json())
     assert parsed["seed"] == 3 and parsed["k"] == 4

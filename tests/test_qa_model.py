@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchqa import qa_model
-from patchqa.embed import HashSeededEmbedding, SequenceMatrix, prepare, tokenize
+from patchqa.embed import Embedding, prepare, tokenize
 from patchqa.qa_model import (
     SCORE_CEILING,
     SCORE_FLOOR,
@@ -23,7 +23,7 @@ from patchqa.qa_model import (
     train,
 )
 
-from conftest import rewrite_checkpoint
+from conftest import rewrite_checkpoint, token_ids
 from oracle import (attention_apply, attention_weights, bilstm_forward, bilstm_reference,
                     cosine_similarity, loss)
 
@@ -33,24 +33,21 @@ def make_model(dim=4, hidden=3, max_len=5, seed=7, **kwargs):
     return QaModel.create(cfg, dim)
 
 
-def matrix_from(rows, n_real=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    mask = np.zeros(rows.shape[0])
-    mask[: rows.shape[0] if n_real is None else n_real] = 1.0
-    return SequenceMatrix(rows=rows, mask=mask)
+VOCAB = 40
+
+
+def random_table(rng, dim):
+    """An embedding table: the zero padding row, then VOCAB random rows."""
+    return np.vstack([np.zeros((1, dim)), rng.normal(size=(VOCAB, dim))])
 
 
 def random_example(rng, model, n_bug=None, n_desc=None):
+    """An example of random ids into a ``random_table``."""
     n = model.config.max_seq_len
-    dim = model.input_dim
     n_bug = n_bug if n_bug is not None else int(rng.integers(1, n + 1))
     n_desc = n_desc if n_desc is not None else int(rng.integers(1, n + 1))
-    bug = np.zeros((n, dim))
-    bug[:n_bug] = rng.normal(size=(n_bug, dim))
-    desc = np.zeros((n, dim))
-    desc[:n_desc] = rng.normal(size=(n_desc, dim))
-    return BatchExample(bug=matrix_from(bug, n_bug),
-                        description=matrix_from(desc, n_desc),
+    return BatchExample(bug=token_ids(rng.integers(1, VOCAB + 1, size=n_bug), n),
+                        description=token_ids(rng.integers(1, VOCAB + 1, size=n_desc), n),
                         label=int(rng.integers(0, 2)))
 
 
@@ -61,13 +58,13 @@ def test_zero_input_zero_params_gives_zero_rows():
     model = make_model()
     for p in model.params.values():
         p[...] = 0.0
-    out = bilstm_forward(model, matrix_from(np.zeros((5, 4)), 0))
+    out = bilstm_forward(model, np.zeros((5, 4)), 0)
     assert np.all(out == 0.0)
 
 
 def test_output_shape_is_len_by_twice_hidden():
     model = make_model(dim=32, hidden=16, max_len=64)
-    out = bilstm_forward(model, matrix_from(np.zeros((64, 32))))
+    out = bilstm_forward(model, np.zeros((64, 32)))
     assert out.shape == (64, 32)
     assert model.output_dim == 32
 
@@ -81,8 +78,8 @@ def test_reversing_input_swaps_direction_halves():
     for p in model.params.values():
         p[1] = p[0]
     rows = rng.normal(size=(3, 4))
-    e = bilstm_forward(model, matrix_from(rows))
-    e_rev = bilstm_forward(model, matrix_from(rows[::-1].copy()))
+    e = bilstm_forward(model, rows)
+    e_rev = bilstm_forward(model, rows[::-1].copy())
     hidden = model.config.hidden_size
     assert np.allclose(e_rev[:, :hidden], e[::-1, hidden:])
     assert np.allclose(e_rev[:, hidden:], e[::-1, :hidden])
@@ -117,7 +114,7 @@ def test_batched_bilstm_matches_per_step_reference():
 def test_bilstm_rejects_dim_mismatch():
     model = make_model(dim=4)
     with pytest.raises(ValueError, match="dim mismatch"):
-        bilstm_forward(model, matrix_from(np.zeros((5, 3))))
+        bilstm_forward(model, np.zeros((5, 3)))
 
 
 # --- attention ----------------------------------------------------------------
@@ -198,55 +195,52 @@ def test_attention_apply_matches_brute_force():
 def test_identical_single_token_pair_scores_sigmoid_one():
     rng = np.random.default_rng(5)
     model = make_model(dim=4, hidden=3, max_len=5)
-    rows = np.zeros((5, 4))
-    rows[0] = rng.normal(size=4)
-    ex = BatchExample(bug=matrix_from(rows, 1), description=matrix_from(rows, 1), label=1)
-    assert score(model, ex) == pytest.approx(1.0 / (1.0 + math.exp(-1)), abs=1e-9)
+    table = np.vstack([np.zeros(4), rng.normal(size=4)])
+    ex = BatchExample(bug=token_ids([1], 5), description=token_ids([1], 5), label=1)
+    assert score(model, ex, table) == pytest.approx(1.0 / (1.0 + math.exp(-1)), abs=1e-9)
 
 
 def test_empty_description_scores_half():
     rng = np.random.default_rng(6)
     model = make_model()
-    bug = np.zeros((5, 4))
-    bug[:2] = rng.normal(size=(2, 4))
-    ex = BatchExample(bug=matrix_from(bug, 2),
-                      description=matrix_from(np.zeros((5, 4)), 0), label=0)
-    assert score(model, ex) == 0.5
+    table = np.vstack([np.zeros((1, 4)), rng.normal(size=(2, 4))])
+    ex = BatchExample(bug=token_ids([1, 2], 5), description=token_ids([], 5), label=0)
+    assert score(model, ex, table) == 0.5
 
 
 def test_empty_bug_scores_half():
     rng = np.random.default_rng(7)
     model = make_model()
-    desc = np.zeros((5, 4))
-    desc[:2] = rng.normal(size=(2, 4))
-    ex = BatchExample(bug=matrix_from(np.zeros((5, 4)), 0),
-                      description=matrix_from(desc, 2), label=0)
-    assert score(model, ex) == 0.5
+    table = np.vstack([np.zeros((1, 4)), rng.normal(size=(2, 4))])
+    ex = BatchExample(bug=token_ids([], 5), description=token_ids([1, 2], 5), label=0)
+    assert score(model, ex, table) == 0.5
 
 
 def test_scores_live_inside_the_sigmoid_cosine_band():
     rng = np.random.default_rng(8)
     model = make_model(dim=6, hidden=4, max_len=7)
+    table = random_table(rng, 6)
     for _ in range(200):
-        s = score(model, random_example(rng, model))
+        s = score(model, random_example(rng, model), table)
         assert SCORE_FLOOR - 1e-12 <= s <= SCORE_CEILING + 1e-12
 
 
 def test_batched_scores_equal_single_scores():
     rng = np.random.default_rng(18)
     model = make_model(dim=6, hidden=4, max_len=9)
+    table = random_table(rng, 6)
     lengths = [(1, 9), (9, 1), (3, 5), (7, 7), (2, 8), (5, 3), (0, 4)]
     examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in lengths]
-    batched = score_many(model, examples)
+    batched = score_many(model, examples, table)
     for i, ex in enumerate(examples):
-        assert abs(batched[i] - score(model, ex)) <= 1e-12
+        assert abs(batched[i] - score(model, ex, table)) <= 1e-12
     # More examples than one batch holds, with a ragged last chunk (4+4+3).
     chunked = make_model(dim=6, hidden=4, max_len=9, batch_size=4)
     examples = [random_example(rng, chunked) for _ in range(11)]
-    batched = score_many(chunked, examples)
+    batched = score_many(chunked, examples, table)
     assert batched.shape == (11,)
     for i, ex in enumerate(examples):
-        assert abs(batched[i] - score(chunked, ex)) <= 1e-12
+        assert abs(batched[i] - score(chunked, ex, table)) <= 1e-12
 
 
 WORDS = ["parser", "crash", "null", "header", "guard", "empty", "fix", "loop"]
@@ -258,7 +252,7 @@ WORDS = ["parser", "crash", "null", "header", "guard", "empty", "fix", "loop"]
        st.integers(min_value=1, max_value=40))
 def test_score_does_not_depend_on_max_seq_len(bug_words, desc_words, extra):
     # While no text is truncated, extra padding must not move a score.
-    provider = HashSeededEmbedding(8, seed=2)
+    provider = Embedding(8, seed=2)
     shortest = max(1, len(bug_words), len(desc_words))
     scores = []
     for n in (shortest, shortest + extra):
@@ -266,7 +260,7 @@ def test_score_does_not_depend_on_max_seq_len(bug_words, desc_words, extra):
         ex = BatchExample(bug=prepare(tokenize(" ".join(bug_words)), provider, n),
                           description=prepare(tokenize(" ".join(desc_words)), provider, n),
                           label=1)
-        scores.append(score(model, ex))
+        scores.append(score(model, ex, provider.table))
     assert abs(scores[0] - scores[1]) <= 1e-12
 
 
@@ -292,9 +286,10 @@ def test_score_agrees_with_per_position_attention_ops():
     """The batched score path must equal the composition of the public ops."""
     rng = np.random.default_rng(10)
     model = make_model(dim=4, hidden=3, max_len=6)
+    table = random_table(rng, 4)
     ex = random_example(rng, model, n_bug=4, n_desc=3)
-    e_b = bilstm_forward(model, ex.bug)
-    e_c = bilstm_forward(model, ex.description)
+    e_b = bilstm_forward(model, table[ex.bug.ids], 4)
+    e_c = bilstm_forward(model, table[ex.description.ids], 3)
     n = model.config.max_seq_len
     attended = np.zeros((n, model.output_dim))
     for j in range(n):
@@ -304,7 +299,7 @@ def test_score_agrees_with_per_position_attention_ops():
     re_b = (e_b * ex.bug.mask[:, None]).ravel()
     re_c = attended.ravel()
     expected = 1.0 / (1.0 + math.exp(-cosine_similarity(re_b, re_c)))
-    assert score(model, ex) == pytest.approx(expected, abs=1e-12)
+    assert score(model, ex, table) == pytest.approx(expected, abs=1e-12)
 
 
 # --- loss ---------------------------------------------------------------------
@@ -377,15 +372,16 @@ def small_training_setup(n_examples=6, seed=0):
     rng = np.random.default_rng(seed)
     model = make_model(dim=6, hidden=4, max_len=8, seed=3,
                        epochs=4, batch_size=4, learning_rate=0.01)
+    table = random_table(rng, 6)
     examples = [random_example(rng, model) for _ in range(n_examples)]
-    return model, examples
+    return model, examples, table
 
 
 def test_training_is_deterministic():
-    model_a, examples = small_training_setup()
-    _, history_a = train(model_a, examples)
-    model_b, _ = small_training_setup()
-    _, history_b = train(model_b, examples)
+    model_a, examples, table = small_training_setup()
+    _, history_a = train(model_a, examples, table)
+    model_b, _, _ = small_training_setup()
+    _, history_b = train(model_b, examples, table)
     assert history_a == history_b
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
@@ -395,33 +391,31 @@ def test_training_single_positive_drives_score_up():
     rng = np.random.default_rng(13)
     cfg = ModelConfig(max_seq_len=8, hidden_size=4, seed=5, epochs=1, batch_size=8)
     model = QaModel.create(cfg, 6)
-    rows = np.zeros((8, 6))
-    rows[:3] = rng.normal(size=(3, 6))
-    other = np.zeros((8, 6))
-    other[:4] = rng.normal(size=(4, 6))
-    ex = BatchExample(bug=matrix_from(rows, 3), description=matrix_from(other, 4),
+    table = np.vstack([np.zeros((1, 6)), rng.normal(size=(3, 6)), rng.normal(size=(4, 6))])
+    ex = BatchExample(bug=token_ids([1, 2, 3], 8), description=token_ids([4, 5, 6, 7], 8),
                       label=1)
-    scores = [score(model, ex)]
+    scores = [score(model, ex, table)]
     for _ in range(10):
-        train(model, [ex], cfg)
-        scores.append(score(model, ex))
+        train(model, [ex], table)
+        scores.append(score(model, ex, table))
     dips = sum(1 for a, b in zip(scores, scores[1:]) if b < a - 1e-12)
     assert dips <= 1
     assert scores[-1] > scores[0]
 
 
 def test_training_loss_decreases_on_separable_data():
-    model, examples = small_training_setup(n_examples=8)
-    _, history = train(model, examples)
+    model, examples, table = small_training_setup(n_examples=8)
+    _, history = train(model, examples, table)
     assert history[-1] <= history[0]
 
 
 def test_token_free_batch_scores_half_and_trains():
     model = make_model(dim=4, hidden=3, max_len=5, epochs=2, batch_size=4)
-    empty = matrix_from(np.zeros((5, 4)), 0)
+    table = np.zeros((1, 4))
+    empty = token_ids([], 5)
     examples = [BatchExample(bug=empty, description=empty, label=i % 2) for i in range(4)]
-    assert score_many(model, examples).tolist() == [0.5] * 4
-    _, history = train(model, examples)
+    assert score_many(model, examples, table).tolist() == [0.5] * 4
+    _, history = train(model, examples, table)
     assert history == [pytest.approx(math.log(2.0), abs=1e-12)] * 2
 
 
@@ -430,19 +424,22 @@ def test_one_token_texts_train(max_len):
     # A batch whose longest text has one token runs a single time step.
     rng = np.random.default_rng(19)
     model = make_model(dim=4, hidden=3, max_len=max_len, epochs=2, batch_size=4)
+    table = random_table(rng, 4)
     examples = [random_example(rng, model, n_bug=1, n_desc=1) for _ in range(4)]
-    batch_loss, grads = batch_loss_and_gradients(model, *stack_examples(examples))
+    bug_ids, bug_mask, desc_ids, desc_mask, labels = stack_examples(examples)
+    batch_loss, grads = batch_loss_and_gradients(
+        model, table[bug_ids], bug_mask, table[desc_ids], desc_mask, labels)
     assert np.isfinite(batch_loss)
     # With one step the recurrent input is the zero initial state.
     assert np.all(grads["w_h"] == 0.0) and np.any(grads["w_x"] != 0.0)
-    _, history = train(model, examples)
+    _, history = train(model, examples, table)
     assert np.all(np.isfinite(history))
 
 
 def test_train_rejects_empty_examples():
-    model, _ = small_training_setup()
+    model, _, table = small_training_setup()
     with pytest.raises(ValueError):
-        train(model, [])
+        train(model, [], table)
 
 
 def test_config_validation():
@@ -470,33 +467,35 @@ def test_default_config_matches_published_hyperparameters():
 def test_predict_threshold_and_tie_rule():
     rng = np.random.default_rng(14)
     model = make_model()
+    table = random_table(rng, 4)
     ex = random_example(rng, model)
-    s = score(model, ex)
-    assert predict(model, ex, 0.4).label == (1 if s >= 0.4 else 0)
-    assert predict(model, ex, s).label == 1  # tie classifies as correct
+    s = score(model, ex, table)
+    assert predict(model, ex, table, 0.4).label == (1 if s >= 0.4 else 0)
+    assert predict(model, ex, table, s).label == 1  # tie classifies as correct
 
 
 def test_predict_above_score_ceiling_always_incorrect():
     rng = np.random.default_rng(15)
     model = make_model(dim=6, hidden=4, max_len=7)
+    table = random_table(rng, 6)
     for _ in range(25):
-        assert predict(model, random_example(rng, model), 0.9).label == 0
-        assert predict(model, random_example(rng, model), 0.8).label == 0
+        assert predict(model, random_example(rng, model), table, 0.9).label == 0
+        assert predict(model, random_example(rng, model), table, 0.8).label == 0
 
 
 def test_predict_rejects_bad_threshold():
     rng = np.random.default_rng(16)
     model = make_model()
     with pytest.raises(ValueError):
-        predict(model, random_example(rng, model), 1.5)
+        predict(model, random_example(rng, model), random_table(rng, 4), 1.5)
 
 
 # --- checkpointing ------------------------------------------------------------
 
 
 def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
-    model, examples = small_training_setup()
-    train(model, examples)
+    model, examples, table = small_training_setup()
+    train(model, examples, table)
     model.metadata = {"embedding": {"kind": "hash", "dim": 6, "seed": 5}}
     first = tmp_path / "model.ckpt"
     save_model(model, first)
@@ -508,7 +507,7 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     assert loaded.config == model.config
     rng = np.random.default_rng(17)
     ex = random_example(rng, model)
-    assert score(loaded, ex) == score(model, ex)
+    assert score(loaded, ex, table) == score(model, ex, table)
 
 
 def set_nan(data: bytes) -> bytes:
@@ -535,7 +534,7 @@ def set_nan(data: bytes) -> bytes:
     pytest.param(None, set_nan, "non-finite", id="nan-weight"),
 ])
 def test_checkpoint_validation_rejects_damaged_files(tmp_path, edit_header, tail, message):
-    model, _ = small_training_setup()
+    model, _, _ = small_training_setup()
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     path.write_bytes(rewrite_checkpoint(path.read_bytes(), edit_header, tail))
@@ -554,9 +553,35 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
 
 
 def test_text_pipeline_scores_matched_pair_deterministically():
-    provider = HashSeededEmbedding(8, seed=2)
+    provider = Embedding(8, seed=2)
     model = make_model(dim=8, hidden=4, max_len=16)
     bug = prepare(tokenize("parser crashes on empty header line"), provider, 16)
     desc = prepare(tokenize("guard the parser against empty header"), provider, 16)
     ex = BatchExample(bug=bug, description=desc, label=1)
-    assert score(model, ex) == score(model, ex)
+    assert score(model, ex, provider.table) == score(model, ex, provider.table)
+
+
+# --- scores pinned before token ids replaced dense rows -------------------------
+
+
+def test_pinned_score_with_hashed_vectors():
+    provider = Embedding(32, seed=0)
+    model = QaModel.create(ModelConfig(max_seq_len=8, seed=0), 32)
+    ex = BatchExample(bug=prepare(tokenize("a b c d e f"), provider, 8),
+                      description=prepare(tokenize("a b c x y z"), provider, 8), label=1)
+    assert score(model, ex, provider.table) == 0.6626380133128995
+
+
+def test_pinned_score_with_vector_file(tmp_path):
+    # Tokens missing from the file (zzz, qqq) take the seed-0 hashed rows.
+    rng = np.random.default_rng(0)
+    tokens = "observed failure fix handle alpha0001 beta0002 guard method".split()
+    lines = [" ".join([token, *(f"{v:.6f}" for v in rng.normal(size=8))]) for token in tokens]
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n".join(["dim 8", *lines]) + "\n", encoding="utf-8")
+    provider = Embedding.load(path, seed=0)
+    model = QaModel.create(ModelConfig(max_seq_len=8, seed=0), 8)
+    ex = BatchExample(bug=prepare(tokenize("observed failure alpha0001 zzz"), provider, 8),
+                      description=prepare(tokenize("fix alpha0001 guard qqq"), provider, 8),
+                      label=1)
+    assert score(model, ex, provider.table) == 0.6980482700269571
