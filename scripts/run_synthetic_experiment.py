@@ -37,8 +37,7 @@ def main():
                                patches_per_bug=args.patches_per_bug)
     config = pipeline.RunConfig(
         dataset=str(corpus_path),
-        embedding=pipeline.EmbeddingSpec(kind="hash", dim=args.hash_dim,
-                                         seed=args.hash_seed),
+        embedding=pipeline.EmbeddingSpec(dim=args.hash_dim, seed=args.hash_seed),
         model=ModelConfig(seed=args.model_seed),
         k=args.k,
         fold_seed=args.fold_seed,

@@ -10,6 +10,7 @@ iff no stage errored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,9 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model-seed", type=int, help="model init/shuffle seed (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="patchqa",
         description="Predict patch correctness by matching bug reports to "
@@ -119,8 +122,7 @@ def _embedding_spec(args, saved=None) -> EmbeddingSpec:
     """Each field from its flag, else the config file, else ``saved`` (the
     embedding object a checkpoint records, if any), else the default."""
     base = EmbeddingSpec() if saved is None else EmbeddingSpec.from_dict(saved)
-    path = _option(args, "embeddings", None)
-    return EmbeddingSpec(kind="file" if path else base.kind, path=path or base.path,
+    return EmbeddingSpec(path=_option(args, "embeddings", None) or base.path,
                          dim=_option(args, "hash_dim", base.dim),
                          seed=_option(args, "hash_seed", base.seed))
 
@@ -250,6 +252,16 @@ def cmd_hypothesis(args) -> int:
     return 0
 
 
+@functools.cache
+def _option_types() -> dict[str, dict]:
+    """The argparse type of each option, by subcommand and option name."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest: a.type for a in sp._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, sp in commands.choices.items()}
+
+
 # JSON types a config value may take, by the argparse type of its option.
 _CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                  None: (str, "a string")}
@@ -268,11 +280,11 @@ def _one_key_per_option(pairs) -> dict:
     return dict(pairs)
 
 
-def _config_values(path, option_types: dict, known: set) -> dict:
+def _config_values(path, command: str) -> dict:
     """Config-file values keyed by option name. Every key must name an option
-    of some subcommand (``known``), so one file may serve several. A value for
-    an option of this subcommand must have that option's type; JSON true is no
-    number, and ``thresholds`` may also be a list of numbers."""
+    of some subcommand, so one file may serve several. A value for an option
+    of ``command`` must have that option's type; JSON true is no number, and
+    ``thresholds`` may also be a list of numbers."""
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"),
                             object_pairs_hook=_one_key_per_option)
@@ -281,6 +293,8 @@ def _config_values(path, option_types: dict, known: set) -> dict:
     if not isinstance(values, dict):
         raise ValueError("config: expected a JSON object")
     out = {key.replace("-", "_"): value for key, value in values.items()}
+    known = {dest for types in _option_types().values() for dest in types}
+    option_types = _option_types()[command]
     for key in values:
         if key.replace("-", "_") not in known:
             raise ValueError(f"config: unknown option {key!r}")
@@ -296,18 +310,10 @@ def _config_values(path, option_types: dict, known: set) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            commands = next(a for a in parser._actions
-                            if isinstance(a, argparse._SubParsersAction))
-            option_types = {name: {a.dest: a.type for a in sp._actions
-                                   if not isinstance(a, argparse._HelpAction)}
-                            for name, sp in commands.choices.items()}
-            known = {dest for types in option_types.values() for dest in types}
-            args._config_values = _config_values(args.config,
-                                                 option_types[args.command], known)
+            args._config_values = _config_values(args.config, args.command)
         return args.func(args)
     except (DatasetError, DiffParseError, PipelineError, qa_model.TrainingError,
             ValueError, OSError) as exc:

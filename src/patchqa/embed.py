@@ -5,9 +5,10 @@ the zero padding row. The first time a token is seen it gets the next row,
 holding its vector from a vector file (precomputed by an external encoder)
 if the file has one, else a deterministic hash-seeded random vector, so
 coverage gaps never abort a run. A sequence is kept as the ids of its
-tokens; the model gathers table rows batch by batch, as an ``nn.Embedding``
-layer does. Rows never change once given, so ids and vectors are pure
-functions of the tokens, the seed and the file.
+tokens, zero-padded at the tail, so its mask is ``ids > 0``; the model gathers
+table rows batch by batch, as an ``nn.Embedding`` layer does. Rows never
+change once given, so ids and vectors are pure functions of the tokens, the
+seed and the file.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ class TokenSequence:
 
 @dataclass
 class TokenIds:
-    """Fixed-length table ids of a sequence; id 0 with mask 0 marks padding."""
+    """Fixed-length table ids of a sequence; id 0 marks padding."""
 
     ids: np.ndarray  # (max_seq_len,) int32
-    mask: np.ndarray  # (max_seq_len,) of 0.0/1.0
     truncated: bool = False
+
+    @property
+    def mask(self) -> np.ndarray:
+        """1.0 at real tokens and 0.0 at padding; perfbench's tracer reads it."""
+        return (self.ids > 0).astype(np.float64)
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -132,8 +137,7 @@ def prepare(seq: TokenSequence, provider: Embedding, max_seq_len: int) -> TokenI
     tokens = seq.tokens[:max_seq_len]
     ids = np.zeros(max_seq_len, dtype=np.int32)
     ids[: len(tokens)] = provider.ids(tokens)
-    mask = (ids > 0).astype(np.float64)  # real tokens have ids from 1
-    return TokenIds(ids=ids, mask=mask, truncated=len(seq.tokens) > max_seq_len)
+    return TokenIds(ids=ids, truncated=len(seq.tokens) > max_seq_len)
 
 
 def standardize(vectors) -> np.ndarray:

@@ -49,26 +49,21 @@ class PipelineError(Exception):
 
 @dataclass
 class EmbeddingSpec:
-    """Where token vectors come from: a hashed generator or a vector file."""
+    """Where token vectors come from: the vector file at ``path``, else hashing."""
 
-    kind: str = "hash"  # "hash" | "file"
     dim: int = 32
     seed: int = 0
     path: str | None = None
 
     def build(self) -> embed.Embedding:
-        if self.kind == "hash":
+        if not self.path:
             return embed.Embedding(self.dim, self.seed)
-        if self.kind == "file":
-            if not self.path:
-                raise ValueError("file-backed embedding needs a path")
-            provider = embed.Embedding.load(self.path, self.seed)
-            self.dim = provider.dim
-            return provider
-        raise ValueError(f"unknown embedding kind {self.kind!r}")
+        provider = embed.Embedding.load(self.path, self.seed)
+        self.dim = provider.dim
+        return provider
 
     def describe(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim, "seed": self.seed}
+        out = {"kind": "file" if self.path else "hash", "dim": self.dim, "seed": self.seed}
         if self.path:
             out["path"] = str(self.path)
         return out
@@ -78,13 +73,16 @@ class EmbeddingSpec:
         """The spec ``describe`` wrote; ValueError for any other value."""
         if not isinstance(obj, dict):
             raise ValueError(f"embedding spec must be an object, not {obj!r}")
-        spec = cls(kind=obj.get("kind", "hash"), dim=obj.get("dim", 32),
-                   seed=obj.get("seed", 0), path=obj.get("path"))
+        spec = cls(dim=obj.get("dim", 32), seed=obj.get("seed", 0), path=obj.get("path"))
         for name, value in (("dim", spec.dim), ("seed", spec.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"embedding {name} must be an integer, not {value!r}")
         if spec.path is not None and not isinstance(spec.path, str):
             raise ValueError(f"embedding path must be a string, not {spec.path!r}")
+        kind = spec.describe()["kind"]  # a saved kind must be the one its path implies
+        if obj.get("kind", kind) != kind:
+            raise ValueError(f"embedding kind must be {kind!r} for path {spec.path!r}, "
+                             f"not {obj['kind']!r}")
         return spec
 
 

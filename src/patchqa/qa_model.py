@@ -16,13 +16,14 @@ Cosine is bounded, so every score lies in [sigmoid(-1), sigmoid(1)]. Padding
 does not move a score: padded positions are excluded from attention logits
 and zeroed in the flattened vectors, and both directions reach the padding
 only after a row's real tokens (the backward one reverses each row within its
-own length, as ``tf.reverse_sequence`` does). A batch therefore runs only to
-its longest real row; the steps after it are cut. Training minimizes binary
-cross-entropy with Adam; all arithmetic is float64 numpy and deterministic
-under the config seed. Examples hold token ids: each training batch and each
-scoring chunk of ``batch_size`` examples gathers its rows from the run's
-embedding table. Only the BiLSTM weights are learned; the table is fixed, so
-back-propagation stops at the weight gradients.
+own length, as ``tf.reverse_sequence`` does). Token ids are the only input:
+id 0 is padding and a row's real ids form a prefix, so masks and lengths are
+derived from the ids. Each training batch and each scoring chunk of
+``batch_size`` examples is cut to its longest real row before its one gather
+from the run's embedding table. Only the BiLSTM weights are learned; the
+table is fixed, so back-propagation stops at the weight gradients. Training
+minimizes binary cross-entropy with Adam; all arithmetic is float64 numpy
+and deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -141,11 +142,6 @@ class QaModel:
                  for _ in range(2) for fan, shape in fans]
         return cls(config, input_dim, _stack_directions(drawn), metadata)
 
-    @property
-    def output_dim(self) -> int:
-        # Output rows concatenate both direction states.
-        return 2 * self.config.hidden_size
-
 
 def _stack_directions(tensors) -> dict[str, np.ndarray]:
     """Direction-stacked params from the six tensors in ``_TENSOR_ORDER``."""
@@ -234,12 +230,12 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
     }
 
 
-def _bilstm_run(model: QaModel, lengths: np.ndarray, *parts: np.ndarray):
-    """Run batch-major (batch, steps, dim) inputs of one length through the
-    BiLSTM as one batch, stacked in order; gives (rows, steps, 2*hidden).
-    Row r has ``lengths[r]`` real steps, then padding, which either direction
-    reads only after the real ones."""
-    x_tm = np.concatenate([x.transpose(1, 0, 2) for x in parts], axis=1)
+def _bilstm_run(model: QaModel, lengths: np.ndarray, x: np.ndarray):
+    """Run batch-major (rows, steps, dim) input through the BiLSTM as one
+    batch; gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real
+    steps, then padding, which either direction reads only after the real
+    ones."""
+    x_tm = x.transpose(1, 0, 2)
     steps, rows = x_tm.shape[:2]
     # Gather index (time, row) of the backward direction's input: L-1-t for
     # t < L, t after. It is its own inverse, so it also restores time order.
@@ -277,16 +273,18 @@ class _ForwardCache:
     scores: np.ndarray
 
 
-def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
-    # Masks are prefixes, so a row's real length is its mask sum. Steps past
-    # the batch's longest real row are padding everywhere and are cut.
-    batch = bug_rows.shape[0]
-    lengths = np.concatenate([bug_mask.sum(axis=1), desc_mask.sum(axis=1)]).astype(np.intp)
-    steps = max(1, int(lengths.max()))
-    bug_rows, desc_rows = bug_rows[:, :steps], desc_rows[:, :steps]
-    bug_mask, desc_mask = bug_mask[:, :steps], desc_mask[:, :steps]
+def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
+    # Real ids form a prefix, so a row's real length is its count of nonzero
+    # ids. Steps past the batch's longest real row are padding everywhere and
+    # are cut before the one gather from the table.
+    batch = len(bug_ids)
+    ids = np.concatenate([bug_ids, desc_ids])
+    lengths = np.count_nonzero(ids, axis=1)
+    ids = ids[:, :max(1, int(lengths.max()))]
+    mask = (ids > 0).astype(np.float64)
+    bug_mask, desc_mask = mask[:batch], mask[batch:]
     # One BiLSTM pass over the bug rows and the description rows stacked.
-    e, bilstm_cache = _bilstm_run(model, lengths, bug_rows, desc_rows)
+    e, bilstm_cache = _bilstm_run(model, lengths, table[ids])
     e_b, e_c = e[:batch], e[batch:]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the
@@ -305,8 +303,7 @@ def _forward_batch(model: QaModel, bug_rows, bug_mask, desc_rows, desc_mask):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha,
-                          np.asarray(bug_mask, float), np.asarray(desc_mask, float),
+    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha, bug_mask, desc_mask,
                           rb, rc, dot, norm_b, norm_c, scores)
     return scores, cache
 
@@ -324,10 +321,8 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     nc3 = np.where(ok, cache.norm_c ** 3 * cache.norm_b, 1.0)
     g_rb = g_cos[:, None] * (cache.rc / safe[:, None] - (cache.dot / nb3)[:, None] * cache.rb)
     g_rc = g_cos[:, None] * (cache.rb / safe[:, None] - (cache.dot / nc3)[:, None] * cache.rc)
-    steps = cache.bug_mask.shape[1]
-    d = model.output_dim
-    g_e_b = g_rb.reshape(batch, steps, d) * cache.bug_mask[:, :, None]
-    g_att = g_rc.reshape(batch, steps, d) * cache.desc_mask[:, :, None]
+    g_e_b = g_rb.reshape(cache.e_b.shape) * cache.bug_mask[:, :, None]
+    g_att = g_rc.reshape(cache.e_c.shape) * cache.desc_mask[:, :, None]
     g_alpha = cache.e_b @ g_att.transpose(0, 2, 1)
     g_e_b = g_e_b + cache.alpha @ g_att
     inner = (cache.alpha * g_alpha).sum(axis=1, keepdims=True)
@@ -338,38 +333,33 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
 
 
 def stack_examples(examples: list[BatchExample]):
-    """Stack examples into (bug_ids, bug_mask, desc_ids, desc_mask, labels)."""
+    """Stack examples into (bug_ids, desc_ids, labels)."""
     bug_ids = np.stack([ex.bug.ids for ex in examples])
-    bug_mask = np.stack([ex.bug.mask for ex in examples]).astype(np.float64)
     desc_ids = np.stack([ex.description.ids for ex in examples])
-    desc_mask = np.stack([ex.description.mask for ex in examples]).astype(np.float64)
     labels = np.array([float(ex.label) for ex in examples])
-    return bug_ids, bug_mask, desc_ids, desc_mask, labels
-
-
-def _score_chunk(model: QaModel, examples: list[BatchExample], table: np.ndarray):
-    bug_ids, bug_mask, desc_ids, desc_mask, _ = stack_examples(examples)
-    return _forward_batch(model, table[bug_ids], bug_mask, table[desc_ids], desc_mask)[0]
+    return bug_ids, desc_ids, labels
 
 
 def score(model: QaModel, example: BatchExample, table: np.ndarray) -> float:
     """Match probability for one example, in [SCORE_FLOOR, SCORE_CEILING]."""
-    return float(_score_chunk(model, [example], table)[0])
+    scores, _ = _forward_batch(model, table, example.bug.ids[None],
+                               example.description.ids[None])
+    return float(scores[0])
 
 
 def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) -> np.ndarray:
     """Scores in example order, gathered from ``table`` and scored in chunks of
     ``batch_size``, so memory follows the chunk, not the whole set."""
     size = model.config.batch_size
-    chunks = [_score_chunk(model, examples[i:i + size], table)
-              for i in range(0, len(examples), size)]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    chunks = (stack_examples(examples[i:i + size]) for i in range(0, len(examples), size))
+    scores = [_forward_batch(model, table, bug_ids, desc_ids)[0]
+              for bug_ids, desc_ids, _ in chunks]
+    return np.concatenate(scores) if scores else np.empty(0)
 
 
-def batch_loss_and_gradients(model: QaModel, bug_rows, bug_mask, desc_rows,
-                             desc_mask, labels):
+def batch_loss_and_gradients(model: QaModel, table: np.ndarray, bug_ids, desc_ids, labels):
     """Mean BCE over the batch and its parameter gradients."""
-    scores, cache = _forward_batch(model, bug_rows, bug_mask, desc_rows, desc_mask)
+    scores, cache = _forward_batch(model, table, bug_ids, desc_ids)
     y = np.asarray(labels, dtype=np.float64)
     losses = -(y * np.log(scores) + (1.0 - y) * np.log(1.0 - scores))
     return float(losses.mean()), _backward_batch(model, cache, y)
@@ -413,7 +403,7 @@ def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
         raise ValueError("need at least one training example")
     if table.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
-    bug_ids, bug_mask, desc_ids, desc_mask, labels = stack_examples(examples)
+    bug_ids, desc_ids, labels = stack_examples(examples)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, cfg.learning_rate)
     history: list[float] = []
@@ -424,9 +414,7 @@ def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
         for start in range(0, count, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             batch_loss, grads = batch_loss_and_gradients(
-                model, table[bug_ids[idx]], bug_mask[idx], table[desc_ids[idx]],
-                desc_mask[idx], labels[idx],
-            )
+                model, table, bug_ids[idx], desc_ids[idx], labels=labels[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"

@@ -80,6 +80,4 @@ def token_ids(ids, max_len: int) -> TokenIds:
     """A side holding table ids ``ids``, zero-padded to ``max_len``."""
     padded = np.zeros(max_len, dtype=np.int32)
     padded[:len(ids)] = ids
-    mask = np.zeros(max_len)
-    mask[:len(ids)] = 1.0
-    return TokenIds(ids=padded, mask=mask)
+    return TokenIds(ids=padded)

@@ -29,7 +29,7 @@ def announce(criterion, message):
 def make_run_config(dataset_path):
     return pipeline.RunConfig(
         dataset=str(dataset_path),
-        embedding=pipeline.EmbeddingSpec(kind="hash", dim=32, seed=SEEDS["embedding"]),
+        embedding=pipeline.EmbeddingSpec(dim=32, seed=SEEDS["embedding"]),
         model=ModelConfig(max_seq_len=64, hidden_size=16, learning_rate=0.01,
                           epochs=10, batch_size=128, seed=SEEDS["model"]),
         k=10,
@@ -108,19 +108,19 @@ def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(20240)
     dim, hidden, n, batch = 4, 3, 5, 2
     model = QaModel.create(ModelConfig(max_seq_len=n, hidden_size=hidden, seed=77), dim)
-    bug_rows = rng.normal(size=(batch, n, dim))
-    desc_rows = rng.normal(size=(batch, n, dim))
-    bug_mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
-    desc_mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], dtype=np.float64)
+    # Prefix masks; every real position reads its own random table row.
+    bug_mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+    desc_mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
+    table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
+    positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
+    bug_ids, desc_ids = positions[0] * bug_mask, positions[1] * desc_mask
     labels = np.array([1.0, 0.0])
 
     def batch_loss():
-        value, _ = qa_model.batch_loss_and_gradients(
-            model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
+        value, _ = qa_model.batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
         return value
 
-    _, analytic = qa_model.batch_loss_and_gradients(
-        model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
+    _, analytic = qa_model.batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     h = 1e-4
     worst = 0.0
     for name, tensor in model.params.items():

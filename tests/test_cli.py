@@ -316,6 +316,20 @@ def test_config_file_supplies_defaults_and_flags_win(small_corpus, tmp_path, cap
     assert report["config"]["model"]["epochs"] == 1
 
 
+def test_config_values_do_not_leak_into_the_next_call(small_corpus, tmp_path, capsys):
+    # main builds its parser once per process; a config file read by one call
+    # must not supply values to the next one.
+    config = write_config(tmp_path, {"epochs": 1})
+    fast = ["--hidden", "4", "--max-len", "8", "--hash-dim", "8"]
+    for prefix, name in ((["--config", config], "first"), ([], "second")):
+        code, _, err = run_cli(capsys, [*prefix, "train", "--dataset", small_corpus,
+                                        "--model-out", tmp_path / f"{name}.ckpt", *fast])
+        assert code == 0, err
+    assert qa_model.load_model(tmp_path / "first.ckpt").config.epochs == 1
+    default = qa_model.ModelConfig().epochs
+    assert qa_model.load_model(tmp_path / "second.ckpt").config.epochs == default
+
+
 @pytest.mark.parametrize("values", [
     {"epochs": "3"}, {"hidden": True}, {"lr": "fast"}, {"max-len": 16.5},
     {"hash-dim": None}, {"embeddings": 7},
@@ -457,6 +471,12 @@ def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_pat
     ({"kind": "hash", "dim": 8, "seed": True}, "embedding seed must be an integer"),
     ({"kind": "hash", "dim": 8.0, "seed": 0}, "embedding dim must be an integer"),
     ({"kind": "file", "dim": 8, "seed": 0, "path": 7}, "embedding path must be a string"),
+    ({"kind": "word2vec", "dim": 8, "seed": 0},
+     "embedding kind must be 'hash' for path None, not 'word2vec'"),
+    ({"kind": "file", "dim": 8, "seed": 0},
+     "embedding kind must be 'hash' for path None, not 'file'"),
+    ({"kind": "hash", "dim": 8, "seed": 0, "path": "v.txt"},
+     "embedding kind must be 'file' for path 'v.txt', not 'hash'"),
 ])
 def test_malformed_checkpoint_embedding_fails_cleanly(
         trained_checkpoint, small_corpus, tmp_path, capsys, embedding, message):

@@ -66,7 +66,6 @@ def test_output_shape_is_len_by_twice_hidden():
     model = make_model(dim=32, hidden=16, max_len=64)
     out = bilstm_forward(model, np.zeros((64, 32)))
     assert out.shape == (64, 32)
-    assert model.output_dim == 32
 
 
 def test_reversing_input_swaps_direction_halves():
@@ -97,7 +96,7 @@ def test_batched_bilstm_matches_per_step_reference():
     rows = np.zeros((4, n, model.input_dim))
     for r, length in enumerate(lengths):
         rows[r, :length] = rng.normal(size=(length, model.input_dim))
-    e, (_, reverse) = qa_model._bilstm_run(model, lengths, rows[:2], rows[2:])
+    e, (_, reverse) = qa_model._bilstm_run(model, lengths, rows)
     for r, length in enumerate(lengths):
         expected = bilstm_reference(model.params, rows[r], length)
         assert np.max(np.abs(e[r, :, :hidden] - expected[:, :hidden])) <= 1e-12
@@ -291,7 +290,7 @@ def test_score_agrees_with_per_position_attention_ops():
     e_b = bilstm_forward(model, table[ex.bug.ids], 4)
     e_c = bilstm_forward(model, table[ex.description.ids], 3)
     n = model.config.max_seq_len
-    attended = np.zeros((n, model.output_dim))
+    attended = np.zeros((n, 2 * model.config.hidden_size))
     for j in range(n):
         if ex.description.mask[j] > 0:
             alpha = attention_weights(e_b, e_c[j], ex.bug.mask)
@@ -335,19 +334,19 @@ def test_gradients_match_central_finite_differences():
     rng = np.random.default_rng(42)
     dim, hidden, n, batch = 4, 3, 5, 2
     model = make_model(dim=dim, hidden=hidden, max_len=n, seed=7)
-    bug_rows = rng.normal(size=(batch, n, dim))
-    desc_rows = rng.normal(size=(batch, n, dim))
-    bug_mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
-    desc_mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], dtype=np.float64)
+    # Prefix masks; every real position reads its own random table row.
+    bug_mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+    desc_mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
+    table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
+    positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
+    bug_ids, desc_ids = positions[0] * bug_mask, positions[1] * desc_mask
     labels = np.array([1.0, 0.0])
 
     def batch_loss():
-        value, _ = batch_loss_and_gradients(
-            model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
+        value, _ = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
         return value
 
-    _, grads = batch_loss_and_gradients(
-        model, bug_rows, bug_mask, desc_rows, desc_mask, labels)
+    _, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     h = 1e-4
     for name, param in model.params.items():
         numeric = np.zeros_like(param)
@@ -426,9 +425,8 @@ def test_one_token_texts_train(max_len):
     model = make_model(dim=4, hidden=3, max_len=max_len, epochs=2, batch_size=4)
     table = random_table(rng, 4)
     examples = [random_example(rng, model, n_bug=1, n_desc=1) for _ in range(4)]
-    bug_ids, bug_mask, desc_ids, desc_mask, labels = stack_examples(examples)
-    batch_loss, grads = batch_loss_and_gradients(
-        model, table[bug_ids], bug_mask, table[desc_ids], desc_mask, labels)
+    bug_ids, desc_ids, labels = stack_examples(examples)
+    batch_loss, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     assert np.isfinite(batch_loss)
     # With one step the recurrent input is the zero initial state.
     assert np.all(grads["w_h"] == 0.0) and np.any(grads["w_x"] != 0.0)
