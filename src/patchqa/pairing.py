@@ -22,10 +22,9 @@ __all__ = [
     "ExampleKind",
     "FoldPlan",
     "QaExample",
-    "build_apr_negatives",
     "build_examples",
-    "build_positive_examples",
-    "build_random_mismatches",
+    "described_patches",
+    "draw_other",
     "fold_split",
     "make_fold_plan",
     "resolve_description",
@@ -80,44 +79,60 @@ def resolve_description(dataset: Dataset, patch: PatchRecord) -> str | None:
     return summarize(hunks)
 
 
-def build_positive_examples(dataset: Dataset) -> list[QaExample]:
-    """One label-1 example per correct-labeled patch with a description."""
-    examples = []
+def described_patches(dataset: Dataset) -> list[tuple[PatchRecord, str]]:
+    """(patch, description) for every patch that can contribute an example,
+    a labeled patch or any developer patch, in dataset order; each
+    description is resolved once, and patches without one are left out."""
+    out = []
     for patch in dataset.patches.values():
-        if patch.label is not Label.CORRECT:
+        if patch.label is Label.UNLABELED and not patch.origin.is_developer:
             continue
         text = resolve_description(dataset, patch)
-        if text is None:
-            continue
-        bug = dataset.bugs[patch.bug_id]
-        if not bug.text.strip():
-            raise ValueError(
-                f"bug report {patch.bug_id!r} has no text but owns correct patch "
-                f"{patch.patch_id!r}"
-            )
-        kind = ExampleKind.DEV_POSITIVE if patch.origin.is_developer else ExampleKind.APR_POSITIVE
-        examples.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 1, kind))
-    return examples
+        if text is not None:
+            out.append((patch, text))
+    return out
 
 
-def build_random_mismatches(dataset: Dataset, seed: int) -> list[QaExample]:
-    """Pair each developer patch description with a random other bug's report.
+def draw_other(rng: np.random.Generator, count: int, index: int) -> int:
+    """A uniformly random integer in [0, count) other than ``index``; one draw."""
+    j = int(rng.integers(count - 1))
+    return j + (j >= index)
 
-    One label-0 example per developer patch; the wrong bug is drawn uniformly
-    from all other bugs with the given seed. Requires developer patches for
-    at least two distinct bugs.
+
+def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
+    """Positives, attributed negatives, then seeded random mismatches.
+
+    A correct patch gives a label-1 example with its own bug's report, an
+    incorrect one a label-0 example. Each developer patch also gives a
+    label-0 mismatch with the report of a bug drawn uniformly from all other
+    bugs. Mismatches are skipped when fewer than two bugs have a developer
+    description; unlabeled patches never contribute examples of their own.
     """
-    dev = [(p, resolve_description(dataset, p))
-           for p in dataset.patches.values() if p.origin.is_developer]
-    dev = [(p, text) for p, text in dev if text is not None]
-    if len({p.bug_id for p, _ in dev}) < 2:
-        raise ValueError("random mismatches need developer patches for at least 2 bugs")
+    positives, negatives, developer = [], [], []
+    for patch, text in described_patches(dataset):
+        bug = dataset.bugs[patch.bug_id]
+        if patch.label is Label.CORRECT:
+            if not bug.text.strip():
+                raise ValueError(
+                    f"bug report {patch.bug_id!r} has no text but owns correct patch "
+                    f"{patch.patch_id!r}"
+                )
+            kind = (ExampleKind.DEV_POSITIVE if patch.origin.is_developer
+                    else ExampleKind.APR_POSITIVE)
+            positives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 1, kind))
+        elif patch.label is Label.INCORRECT:
+            negatives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 0,
+                                       ExampleKind.APR_NEGATIVE))
+        if patch.origin.is_developer:
+            developer.append((patch, text))
+    examples = positives + negatives
+    if len({patch.bug_id for patch, _ in developer}) < 2:
+        return examples
     bug_ids = list(dataset.bugs)
-    rng = np.random.default_rng(seed)
-    examples = []
-    for patch, text in dev:
-        others = [b for b in bug_ids if b != patch.bug_id]
-        wrong = others[int(rng.integers(len(others)))]
+    position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
+    rng = np.random.default_rng(mismatch_seed)
+    for patch, text in developer:
+        wrong = bug_ids[draw_other(rng, len(bug_ids), position[patch.bug_id])]
         examples.append(QaExample(
             bug_id=wrong,
             patch_id=f"mismatch:{patch.patch_id}:{wrong}",
@@ -126,35 +141,6 @@ def build_random_mismatches(dataset: Dataset, seed: int) -> list[QaExample]:
             label=0,
             kind=ExampleKind.RANDOM_MISMATCH,
         ))
-    return examples
-
-
-def build_apr_negatives(dataset: Dataset) -> list[QaExample]:
-    """One label-0 example per incorrect-labeled patch with its true bug."""
-    examples = []
-    for patch in dataset.patches.values():
-        if patch.label is not Label.INCORRECT:
-            continue
-        text = resolve_description(dataset, patch)
-        if text is None:
-            continue
-        bug = dataset.bugs[patch.bug_id]
-        examples.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 0,
-                                  ExampleKind.APR_NEGATIVE))
-    return examples
-
-
-def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
-    """Positives, attributed negatives, then seeded random mismatches.
-
-    Mismatches are skipped when fewer than two bugs have developer patches;
-    unlabeled patches never contribute examples.
-    """
-    examples = build_positive_examples(dataset)
-    examples += build_apr_negatives(dataset)
-    dev_bugs = {p.bug_id for p in dataset.patches.values() if p.origin.is_developer}
-    if len(dev_bugs) >= 2:
-        examples += build_random_mismatches(dataset, mismatch_seed)
     return examples
 
 

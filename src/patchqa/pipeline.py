@@ -305,14 +305,13 @@ def write_crossval_outputs(result: CrossvalResult, out_dir) -> dict[str, Path]:
 def run_train(config: RunConfig):
     """Train one model on every labeled example; returns (model, info), where
     info holds the example counts and the loss per epoch."""
-    examples, removed = _load_examples(config.dataset, config.pair_seed)
+    examples, _ = _load_examples(config.dataset, config.pair_seed)
     batch, table, metadata = _embed_examples(config, examples)
     model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
     _, history = _stage("training", qa_model.train, model, batch, table)
     info = {
         "examples": len(examples),
         "positives": sum(1 for ex in examples if ex.label == 1),
-        "duplicates_removed": removed,
         "loss_history": history,
     }
     return model, info
@@ -351,21 +350,16 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
 def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     """Distance study: matched (bug report, developer description) pairs vs
     seeded random re-pairings, on jointly standardized mean-token vectors."""
-    by_bug: dict[str, list] = {}
-    for patch in ds.patches.values():
-        by_bug.setdefault(patch.bug_id, []).append(patch)
-    pairs = []  # (bug_id, bug_text, description_text)
-    for bug_id, bug in ds.bugs.items():
-        texts = (pairing.resolve_description(ds, patch) for patch in by_bug.get(bug_id, [])
-                 if patch.origin.is_developer)
-        text = next((t for t in texts if t is not None), None)
-        if text is not None:
-            pairs.append((bug_id, bug.text, text))
+    first: dict[str, str] = {}  # each bug's first developer description
+    for patch, text in pairing.described_patches(ds):
+        if patch.origin.is_developer:
+            first.setdefault(patch.bug_id, text)
+    pairs = [(bug.text, first[bug_id]) for bug_id, bug in ds.bugs.items() if bug_id in first]
     if len(pairs) < 2:
         raise ValueError("hypothesis study needs at least 2 bugs with developer "
                          "patch descriptions")
     # Every text's ids first (bug, description, bug, ...), so the table is built once.
-    ids = [provider.ids(embed.tokenize(text).tokens) for pair in pairs for text in pair[1:]]
+    ids = [provider.ids(embed.tokenize(text).tokens) for pair in pairs for text in pair]
     vectors = np.stack([embed.text_vector(text_ids, provider.table) for text_ids in ids])
     standardized = embed.standardize(np.vstack([vectors[0::2], vectors[1::2]]))
     n = len(pairs)
@@ -373,12 +367,7 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     desc_std = standardized[n:]
     rng = np.random.default_rng(seed)
     original = [(bug_std[i], desc_std[i]) for i in range(n)]
-    randomized = []
-    for i in range(n):
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        randomized.append((bug_std[i], desc_std[j]))
+    randomized = [(bug_std[i], desc_std[pairing.draw_other(rng, n, i)]) for i in range(n)]
     study = metrics.euclidean_distance_study(original, randomized)
     return {
         "pairs": n,
@@ -415,12 +404,12 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
         if len(bug_texts) < 2:
             continue
         bug_ids = list(bug_texts)
+        position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
         max_len = fold.model.config.max_seq_len
         for idx, ex in enumerate(fold.test_examples):
             if ex.label != 1 or fold.scores[idx] < threshold:
                 continue
-            others = [b for b in bug_ids if b != ex.bug_id]
-            wrong = others[int(rng.integers(len(others)))]
+            wrong = bug_ids[pairing.draw_other(rng, len(bug_ids), position[ex.bug_id])]
             swapped = vectorize(bug_texts[wrong], ex.description_text, 1, provider, max_len)
             before.append(float(fold.scores[idx]))
             after.append(qa_model.score(fold.model, swapped, provider.table))

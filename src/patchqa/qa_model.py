@@ -230,18 +230,18 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
     }
 
 
-def _bilstm_run(model: QaModel, lengths: np.ndarray, x: np.ndarray):
-    """Run batch-major (rows, steps, dim) input through the BiLSTM as one
-    batch; gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real
-    steps, then padding, which either direction reads only after the real
-    ones."""
-    x_tm = x.transpose(1, 0, 2)
-    steps, rows = x_tm.shape[:2]
+def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
+    """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch;
+    gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real steps, then
+    padding, which either direction reads only after the real ones."""
+    ids_tm = ids.T
+    steps, rows = ids_tm.shape
     # Gather index (time, row) of the backward direction's input: L-1-t for
     # t < L, t after. It is its own inverse, so it also restores time order.
     t = np.arange(steps)[:, None]
     reverse = (np.where(t < lengths, lengths - 1 - t, t), np.arange(rows))
-    states, cache = _lstm_run(model.params, np.stack([x_tm, x_tm[reverse]]))
+    # One gather builds the direction-major, time-major input.
+    states, cache = _lstm_run(model.params, table[np.stack([ids_tm, ids_tm[reverse]])])
     e = np.concatenate([states[0].transpose(1, 0, 2),
                         states[1][reverse].transpose(1, 0, 2)], axis=2)
     return e, (cache, reverse)
@@ -276,7 +276,7 @@ class _ForwardCache:
 def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     # Real ids form a prefix, so a row's real length is its count of nonzero
     # ids. Steps past the batch's longest real row are padding everywhere and
-    # are cut before the one gather from the table.
+    # are cut before the BiLSTM's one gather from the table.
     batch = len(bug_ids)
     ids = np.concatenate([bug_ids, desc_ids])
     lengths = np.count_nonzero(ids, axis=1)
@@ -284,7 +284,7 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     mask = (ids > 0).astype(np.float64)
     bug_mask, desc_mask = mask[:batch], mask[batch:]
     # One BiLSTM pass over the bug rows and the description rows stacked.
-    e, bilstm_cache = _bilstm_run(model, lengths, table[ids])
+    e, bilstm_cache = _bilstm_run(model, lengths, table, ids)
     e_b, e_c = e[:batch], e[batch:]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the

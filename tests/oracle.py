@@ -19,7 +19,10 @@ def bilstm_forward(model: qa_model.QaModel, rows, length: int | None = None) -> 
     if rows.ndim != 2 or rows.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
     length = len(rows) if length is None else length
-    e, _ = qa_model._bilstm_run(model, np.array([length]), rows[None])
+    # A table of its own: the zero padding row, then one row per position.
+    table = np.vstack([np.zeros((1, rows.shape[1])), rows])
+    ids = np.arange(1, len(rows) + 1)[None]
+    e, _ = qa_model._bilstm_run(model, np.array([length]), table, ids)
     return e[0]
 
 

@@ -175,6 +175,22 @@ def test_train_with_one_step_sequences(small_corpus, tmp_path, capsys):
     assert qa_model.load_model(tmp_path / "m.ckpt").config.max_seq_len == 1
 
 
+def test_train_skips_mismatches_when_one_bug_has_a_developer_description(tmp_path, capsys):
+    # B's developer patch has no description and a diff without hunks, so only
+    # A has a developer description: mismatches are skipped, not an error.
+    path = write_jsonl(tmp_path / "d.jsonl", [
+        bug("A"), bug("B"), bug("C"),
+        patch("P-A", "A"), description("P-A"),
+        patch("P-B", "B", diff="--- a/F\n+++ b/F\n"),
+        patch("P-C", "C", origin="apr:T", label="incorrect"),
+    ])
+    code, out, err = run_cli(capsys, [
+        "train", "--dataset", path, "--model-out", tmp_path / "m.ckpt", *FAST_MODEL,
+    ])
+    assert code == 0, err
+    assert json.loads(out)["examples"] == 2
+
+
 def test_train_writes_loadable_checkpoint(trained_checkpoint):
     model = qa_model.load_model(trained_checkpoint)
     assert model.config.epochs == 2

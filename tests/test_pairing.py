@@ -1,17 +1,18 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from patchqa import pairing
 from patchqa.corpus import load_dataset
 from patchqa.pairing import (
     ExampleKind,
     FoldPlan,
     QaExample,
-    build_apr_negatives,
     build_examples,
-    build_positive_examples,
-    build_random_mismatches,
+    draw_other,
     fold_split,
     make_fold_plan,
     resolve_description,
@@ -24,9 +25,26 @@ def load(tmp_path, records, name="d.jsonl"):
     return load_dataset(write_jsonl(tmp_path / name, records))
 
 
+def examples_of(ds, *kinds, seed=0):
+    """The examples of the given kinds that ``build_examples`` makes."""
+    return [ex for ex in build_examples(ds, seed) if ex.kind in kinds]
+
+
+def positives(ds):
+    return examples_of(ds, ExampleKind.DEV_POSITIVE, ExampleKind.APR_POSITIVE)
+
+
+def apr_negatives(ds):
+    return examples_of(ds, ExampleKind.APR_NEGATIVE)
+
+
+def mismatches(ds, seed):
+    return examples_of(ds, ExampleKind.RANDOM_MISMATCH, seed=seed)
+
+
 def test_single_correct_dev_patch_gives_one_positive(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1"), description("P-1")])
-    examples = build_positive_examples(ds)
+    examples = positives(ds)
     assert len(examples) == 1
     ex = examples[0]
     assert ex.label == 1
@@ -38,26 +56,25 @@ def test_single_correct_dev_patch_gives_one_positive(tmp_path):
 def test_correct_apr_patch_is_apr_positive(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1", origin="apr:FixTool"),
                          description("P-1", source="generated")])
-    examples = build_positive_examples(ds)
+    examples = positives(ds)
     assert examples[0].kind is ExampleKind.APR_POSITIVE
     assert examples[0].label == 1
 
 
 def test_only_incorrect_patches_gives_no_positives(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1", label="incorrect")])
-    assert build_positive_examples(ds) == []
+    assert positives(ds) == []
 
 
 def test_unlabeled_patches_excluded_everywhere(tmp_path):
     ds = load(tmp_path, [bug("B-1"), bug("B-2"), patch("P-1", "B-1", label="unlabeled"),
                          patch("P-2", "B-2", label="unlabeled", origin="apr:T")])
-    assert build_positive_examples(ds) == []
-    assert build_apr_negatives(ds) == []
+    assert build_examples(ds, 0) == []
 
 
 def test_description_falls_back_to_diff_summary(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1")])
-    examples = build_positive_examples(ds)
+    examples = positives(ds)
     assert len(examples) == 1
     assert "computeSafely" in examples[0].description_text
     assert resolve_description(ds, ds.patches["P-1"]) == examples[0].description_text
@@ -71,14 +88,14 @@ def test_ingested_description_takes_precedence(tmp_path):
 
 def test_unparseable_diff_without_description_is_skipped(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1", diff="not a diff at all")])
-    assert build_positive_examples(ds) == []
+    assert positives(ds) == []
 
 
 def test_empty_bug_text_with_correct_patch_raises(tmp_path):
     ds = load(tmp_path, [bug("B-1", title="", body=""), patch("P-1", "B-1"),
                          description("P-1")])
     with pytest.raises(ValueError, match="B-1"):
-        build_positive_examples(ds)
+        positives(ds)
 
 
 # --- random mismatches --------------------------------------------------------
@@ -95,7 +112,7 @@ def two_bug_dataset(tmp_path):
 
 def test_two_bugs_mismatch_with_each_other(tmp_path):
     ds = two_bug_dataset(tmp_path)
-    examples = build_random_mismatches(ds, seed=0)
+    examples = mismatches(ds, 0)
     assert len(examples) == 2
     by_patch = {ex.patch_id: ex for ex in examples}
     assert by_patch["mismatch:P-1:B-2"].bug_id == "B-2"
@@ -107,8 +124,8 @@ def test_two_bugs_mismatch_with_each_other(tmp_path):
 
 def test_mismatches_deterministic_under_seed(tmp_path):
     ds = two_bug_dataset(tmp_path)
-    a = build_random_mismatches(ds, seed=42)
-    b = build_random_mismatches(ds, seed=42)
+    a = mismatches(ds, 42)
+    b = mismatches(ds, 42)
     assert a == b
 
 
@@ -119,7 +136,7 @@ def test_mismatch_never_pairs_with_true_bug(tmp_path):
         records.append(patch(f"P-{i}", f"B-{i}"))
         records.append(description(f"P-{i}", text=f"fix number {i}"))
     ds = load(tmp_path, records)
-    examples = build_random_mismatches(ds, seed=7)
+    examples = mismatches(ds, 7)
     assert len(examples) == 100
     # exhaustive check over the output
     for ex in examples:
@@ -129,9 +146,15 @@ def test_mismatch_never_pairs_with_true_bug(tmp_path):
 
 
 def test_mismatch_needs_two_dev_bugs(tmp_path):
-    ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1"), description("P-1")])
-    with pytest.raises(ValueError, match="at least 2 bugs"):
-        build_random_mismatches(ds, seed=0)
+    # B-2's developer patch has neither a description nor a hunk, so only one
+    # bug has a developer description: mismatches are skipped, not an error,
+    # and the other examples still build.
+    ds = load(tmp_path, [bug("B-1"), bug("B-2"), bug("B-3"),
+                         patch("P-1", "B-1"), description("P-1"),
+                         patch("P-2", "B-2", diff="--- a/F\n+++ b/F\n"),
+                         patch("P-3", "B-3", origin="apr:T", label="incorrect")])
+    assert mismatches(ds, 0) == []
+    assert [ex.patch_id for ex in build_examples(ds, 0)] == ["P-1", "P-3"]
 
 
 # --- attributed negatives -------------------------------------------------------
@@ -147,7 +170,7 @@ def test_three_incorrect_patches_give_three_negatives(tmp_path):
               diff="--- a/F\n+++ b/F\n@@ -2,1 +2,1 @@\n-c\n+d\n"),
         description("P-1"), description("P-2"), description("P-3"),
     ])
-    examples = build_apr_negatives(ds)
+    examples = apr_negatives(ds)
     assert len(examples) == 3
     assert all(ex.label == 0 and ex.kind is ExampleKind.APR_NEGATIVE for ex in examples)
     assert all(ex.bug_id == "B-1" for ex in examples)
@@ -155,7 +178,7 @@ def test_three_incorrect_patches_give_three_negatives(tmp_path):
 
 def test_no_incorrect_patches_gives_no_negatives(tmp_path):
     ds = load(tmp_path, [bug("B-1"), patch("P-1", "B-1")])
-    assert build_apr_negatives(ds) == []
+    assert apr_negatives(ds) == []
 
 
 def test_build_examples_combines_all_kinds(tmp_path):
@@ -171,6 +194,45 @@ def test_build_examples_combines_all_kinds(tmp_path):
     assert kinds.count(ExampleKind.DEV_POSITIVE) == 2
     assert kinds.count(ExampleKind.APR_NEGATIVE) == 1
     assert kinds.count(ExampleKind.RANDOM_MISMATCH) == 2
+
+
+def test_each_contributing_patch_is_resolved_once(tmp_path, monkeypatch):
+    ds = load(tmp_path, [
+        bug("B-1"), bug("B-2"),
+        patch("P-1", "B-1"), patch("P-2", "B-2"),
+        patch("P-3", "B-1", origin="apr:T", label="incorrect"),
+        patch("P-4", "B-2", origin="apr:T"),
+        patch("P-5", "B-1", label="unlabeled"),
+        patch("P-6", "B-2", origin="apr:T", label="unlabeled"),
+        description("P-1"),
+    ])
+    calls = Counter()
+
+    def counting(dataset, record):
+        calls[record.patch_id] += 1
+        return resolve_description(dataset, record)
+
+    monkeypatch.setattr(pairing, "resolve_description", counting)
+    examples = build_examples(ds, mismatch_seed=0)
+    # The unlabeled developer patch P-5 contributes a mismatch; the unlabeled
+    # tool patch P-6 contributes nothing and is never resolved.
+    assert calls == {f"P-{i}": 1 for i in range(1, 6)}
+    assert len(examples) == 3 + 1 + 3
+
+
+@given(st.integers(2, 40).flatmap(lambda count: st.tuples(st.just(count),
+                                                          st.integers(0, count - 1))),
+       st.integers(0, 2**32 - 1))
+@example((2, 0), 0)
+@example((2, 1), 0)
+def test_draw_other_draws_uniformly_from_the_others(count_index, seed):
+    count, index = count_index
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    others = [i for i in range(count) if i != index]
+    for _ in range(5):
+        drawn = draw_other(rng, count, index)
+        assert drawn != index
+        assert drawn == others[reference.integers(count - 1)]
 
 
 def test_qa_example_label_kind_consistency():
@@ -274,9 +336,9 @@ def test_fold_split_rejects_bad_group():
 
 def test_mismatch_examples_route_by_borrowed_bug(tmp_path):
     ds = two_bug_dataset(tmp_path)
-    mismatches = build_random_mismatches(ds, seed=0)
+    borrowed = mismatches(ds, 0)
     plan = make_fold_plan({"B-1", "B-2"}, 2, seed=0)
     for group in range(2):
-        _, test_part = fold_split(mismatches, plan, group)
+        _, test_part = fold_split(borrowed, plan, group)
         for ex in test_part:
             assert plan.assignments[ex.bug_id] == group

@@ -96,7 +96,10 @@ def test_batched_bilstm_matches_per_step_reference():
     rows = np.zeros((4, n, model.input_dim))
     for r, length in enumerate(lengths):
         rows[r, :length] = rng.normal(size=(length, model.input_dim))
-    e, (_, reverse) = qa_model._bilstm_run(model, lengths, rows)
+    # Every real position gets its own table row; padding is id 0.
+    table = np.vstack([np.zeros((1, model.input_dim)), rows.reshape(-1, model.input_dim)])
+    ids = np.where(np.arange(n) < lengths[:, None], np.arange(1, 4 * n + 1).reshape(4, n), 0)
+    e, (_, reverse) = qa_model._bilstm_run(model, lengths, table, ids)
     for r, length in enumerate(lengths):
         expected = bilstm_reference(model.params, rows[r], length)
         assert np.max(np.abs(e[r, :, :hidden] - expected[:, :hidden])) <= 1e-12
