@@ -23,7 +23,6 @@ __all__ = [
     "FoldPlan",
     "QaExample",
     "build_examples",
-    "described_patches",
     "draw_other",
     "fold_split",
     "make_fold_plan",
@@ -79,20 +78,6 @@ def resolve_description(dataset: Dataset, patch: PatchRecord) -> str | None:
     return summarize(hunks)
 
 
-def described_patches(dataset: Dataset) -> list[tuple[PatchRecord, str]]:
-    """(patch, description) for every patch that can contribute an example,
-    a labeled patch or any developer patch, in dataset order; each
-    description is resolved once, and patches without one are left out."""
-    out = []
-    for patch in dataset.patches.values():
-        if patch.label is Label.UNLABELED and not patch.origin.is_developer:
-            continue
-        text = resolve_description(dataset, patch)
-        if text is not None:
-            out.append((patch, text))
-    return out
-
-
 def draw_other(rng: np.random.Generator, count: int, index: int) -> int:
     """A uniformly random integer in [0, count) other than ``index``; one draw."""
     j = int(rng.integers(count - 1))
@@ -107,9 +92,17 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
     label-0 mismatch with the report of a bug drawn uniformly from all other
     bugs. Mismatches are skipped when fewer than two bugs have a developer
     description; unlabeled patches never contribute examples of their own.
+    One pass in dataset order resolves the description of each patch that
+    can contribute (a labeled patch or any developer patch) once; patches
+    without one are left out.
     """
     positives, negatives, developer = [], [], []
-    for patch, text in described_patches(dataset):
+    for patch in dataset.patches.values():
+        if patch.label is Label.UNLABELED and not patch.origin.is_developer:
+            continue
+        text = resolve_description(dataset, patch)
+        if text is None:
+            continue
         bug = dataset.bugs[patch.bug_id]
         if patch.label is Label.CORRECT:
             if not bug.text.strip():

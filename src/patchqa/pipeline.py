@@ -351,9 +351,11 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     """Distance study: matched (bug report, developer description) pairs vs
     seeded random re-pairings, on jointly standardized mean-token vectors."""
     first: dict[str, str] = {}  # each bug's first developer description
-    for patch, text in pairing.described_patches(ds):
-        if patch.origin.is_developer:
-            first.setdefault(patch.bug_id, text)
+    for patch in ds.patches.values():
+        if patch.origin.is_developer and patch.bug_id not in first:
+            text = pairing.resolve_description(ds, patch)
+            if text is not None:
+                first[patch.bug_id] = text
     pairs = [(bug.text, first[bug_id]) for bug_id, bug in ds.bugs.items() if bug_id in first]
     if len(pairs) < 2:
         raise ValueError("hypothesis study needs at least 2 bugs with developer "

@@ -13,17 +13,19 @@ squashed through a sigmoid:
     score = sigmoid(cosine(flatten(e_bug), flatten(attended)))
 
 Cosine is bounded, so every score lies in [sigmoid(-1), sigmoid(1)]. Padding
-does not move a score: padded positions are excluded from attention logits
-and zeroed in the flattened vectors, and both directions reach the padding
-only after a row's real tokens (the backward one reverses each row within its
-own length, as ``tf.reverse_sequence`` does). Token ids are the only input:
-id 0 is padding and a row's real ids form a prefix, so masks and lengths are
-derived from the ids. Each training batch and each scoring chunk of
-``batch_size`` examples is cut to its longest real row before its one gather
-from the run's embedding table. Only the BiLSTM weights are learned; the
-table is fixed, so back-propagation stops at the weight gradients. Training
-minimizes binary cross-entropy with Adam; all arithmetic is float64 numpy
-and deterministic under the config seed.
+does not move a score, and no padding step runs: the BiLSTM packs the stacked
+rows as ``pack_padded_sequence`` does (sorted by real length, step t running
+only the rows that are still real there), the backward direction reads each
+row's real tokens reversed (as ``tf.reverse_sequence`` does), padded BiLSTM
+outputs are zero, and attention logits and the flattened vectors mask them
+out. Token ids are the only input: id 0 is padding and a row's real ids form
+a prefix, so masks and lengths are derived from the ids. Each training batch
+and each scoring chunk of ``batch_size`` examples is cut to its longest real
+row, and its real positions are gathered once from the run's embedding
+table. Only the BiLSTM weights are learned; the table is fixed, so
+back-propagation stops at the weight gradients. Training minimizes binary
+cross-entropy with Adam; all arithmetic is float64 numpy and deterministic
+under the config seed.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ _CHECKPOINT_MAGIC = b"PQQA\x01\n"
 _ADAM_DECAY_M = 0.9
 _ADAM_DECAY_V = 0.999
 _ADAM_EPS = 1e-8
+# Direction index broadcast against a packed (2, positions) index.
+_DIRECTIONS = np.arange(2)[:, None]
 
 
 def _is_int(value) -> bool:
@@ -149,112 +153,126 @@ def _stack_directions(tensors) -> dict[str, np.ndarray]:
 
 
 def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray):
-    """Run both directions over direction-major input (2, steps, rows, dim),
-    x[d] in direction d's own time order; returns direction-major states and
-    the caches for backpropagation. The input projection is hoisted out of
-    the loop as one large matmul written into ``gates``; each step adds the
-    recurrent term and overwrites its slice with the activations."""
-    _, steps, rows, dim = x.shape
+def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
+    """Run both directions over packed input (2, positions, dim), x[d] in
+    direction d's own time order: step t takes the next ``sizes[t]``
+    positions, and the rows still running at step t are a prefix of step
+    t-1's rows. Returns the packed states and the caches for
+    backpropagation. The input projection is hoisted out of the loop as one
+    matmul over the real positions, written into ``gates``; each step adds
+    the recurrent term and overwrites its slice with the activations."""
+    total = x.shape[1]
     hidden = params["w_h"].shape[2]
-    states = np.empty((2, steps, rows, hidden))
-    cells = np.empty((2, steps, rows, hidden))
-    gates = np.empty((2, steps, rows, 4 * hidden))
-    tanh_cells = np.empty((2, steps, rows, hidden))
-    np.matmul(x.reshape(2, steps * rows, dim), params["w_x"].transpose(0, 2, 1),
-              out=gates.reshape(2, steps * rows, 4 * hidden))
-    gates += params["b"][:, None, None]
+    states = np.empty((2, total, hidden))
+    cells = np.empty((2, total, hidden))
+    gates = np.empty((2, total, 4 * hidden))
+    tanh_cells = np.empty((2, total, hidden))
+    np.matmul(x, params["w_x"].transpose(0, 2, 1), out=gates)
+    gates += params["b"][:, None]
     wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1))
     split = 3 * hidden
-    h = np.zeros((2, rows, hidden))
-    c = np.zeros((2, rows, hidden))
-    for t in range(steps):
-        gate = gates[:, t]
-        a = gate + h @ wh_t
-        gate[..., :split] = _sigmoid(a[..., :split])
-        gate[..., split:] = np.tanh(a[..., split:])
-        i = gate[..., :hidden]
-        f = gate[..., hidden:2 * hidden]
-        o = gate[..., 2 * hidden:split]
-        g = gate[..., split:]
-        cell_state = cells[:, t]
-        np.multiply(f, c, out=cell_state)
-        cell_state += i * g
-        c = cell_state
-        tc = np.tanh(c, out=tanh_cells[:, t])
-        h = np.multiply(o, tc, out=states[:, t])
+    # A step's state is the previous step's slice, cut to the rows still running.
+    h = c = np.zeros((2, sizes[0], hidden))
+    start = 0
+    # A strongly negative gate input overflows exp(-a) to inf; its sigmoid is 0.
+    with np.errstate(over="ignore"):
+        for size in sizes.tolist():
+            end = start + size
+            gate = gates[:, start:end]
+            a = gate + h[:, :size] @ wh_t
+            gate[..., :split] = _sigmoid(a[..., :split])
+            gate[..., split:] = np.tanh(a[..., split:])
+            i = gate[..., :hidden]
+            f = gate[..., hidden:2 * hidden]
+            o = gate[..., 2 * hidden:split]
+            g = gate[..., split:]
+            cell_state = cells[:, start:end]
+            np.multiply(f, c[:, :size], out=cell_state)
+            cell_state += i * g
+            c = cell_state
+            tc = np.tanh(c, out=tanh_cells[:, start:end])
+            h = np.multiply(o, tc, out=states[:, start:end])
+            start = end
     return states, (x, gates, cells, tanh_cells, states)
 
 
-def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray):
-    """Backpropagation through time for both directions, direction-major like
+def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
+               sizes: np.ndarray):
+    """Backpropagation through time for both directions, packed like
     ``_lstm_run``; returns the gradients keyed like ``params``. The inputs are
-    fixed token vectors, so no input gradient is formed. Previous-step states
-    are shifted views of the caches (zero at t=0), so the non-recurrent
-    reductions collapse into single large matmuls."""
+    fixed token vectors, so no input gradient is formed. The carried
+    gradients live in widest-row buffers; a row that has not started yet
+    (going backward) keeps zeros there. The non-recurrent reductions are
+    single matmuls over all real positions."""
     x, gates, cells, tanh_cells, states = cache
-    _, steps, rows, hidden = states.shape
+    _, total, hidden = states.shape
     split = 3 * hidden
-    d_a_all = np.empty((2, steps, rows, 4 * hidden))
-    dh_next = np.zeros((2, rows, hidden))
-    dc_next = np.zeros((2, rows, hidden))
-    zeros = np.zeros((2, rows, hidden))
-    for t in range(steps - 1, -1, -1):
-        gate = gates[:, t]
+    d_a_all = np.empty((2, total, 4 * hidden))
+    dh_next = np.zeros((2, sizes[0], hidden))
+    dc_next = np.zeros((2, sizes[0], hidden))
+    width = sizes.tolist()
+    end = total
+    for t in range(len(width) - 1, -1, -1):
+        size = width[t]
+        start = end - size
+        gate = gates[:, start:end]
         i = gate[..., :hidden]
         f = gate[..., hidden:2 * hidden]
         o = gate[..., 2 * hidden:split]
         g = gate[..., split:]
-        tc = tanh_cells[:, t]
-        c_prev = cells[:, t - 1] if t > 0 else zeros
-        dh = g_states[:, t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        d_a = d_a_all[:, t]
+        tc = tanh_cells[:, start:end]
+        c_prev = cells[:, start - width[t - 1]:end - width[t - 1]] if t > 0 else 0.0
+        dh = g_states[:, start:end] + dh_next[:, :size]
+        dc = dc_next[:, :size] + dh * o * (1.0 - tc * tc)
+        d_a = d_a_all[:, start:end]
         d_a[..., :hidden] = dc * g * i * (1.0 - i)
         d_a[..., hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
         d_a[..., 2 * hidden:split] = dh * tc * o * (1.0 - o)
         d_a[..., split:] = dc * i * (1.0 - g * g)
-        dh_next = d_a @ params["w_h"]
-        dc_next = dc * f
-    flat_a = d_a_all.reshape(2, steps * rows, 4 * hidden)
-    # h_prev is zero at t=0, so that term drops out of the w_h sum.
+        np.matmul(d_a, params["w_h"], out=dh_next[:, :size])
+        np.multiply(dc, f, out=dc_next[:, :size])
+        end = start
+    # Each position after step 0 pairs with its row's previous state, one
+    # step's width earlier; h_prev is zero at step 0, so that step drops out.
+    prev = np.arange(sizes[0], total) - np.repeat(sizes[:-1], sizes[1:])
     return {
-        "w_x": flat_a.transpose(0, 2, 1) @ x.reshape(2, steps * rows, -1),
-        "w_h": d_a_all[:, 1:].reshape(2, (steps - 1) * rows, 4 * hidden).transpose(0, 2, 1)
-        @ states[:, :-1].reshape(2, (steps - 1) * rows, hidden),
-        "b": flat_a.sum(axis=1),
+        "w_x": d_a_all.transpose(0, 2, 1) @ x,
+        "w_h": d_a_all[:, sizes[0]:].transpose(0, 2, 1) @ states[:, prev],
+        "b": d_a_all.sum(axis=1),
     }
 
 
 def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
     """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch;
     gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real steps, then
-    padding, which either direction reads only after the real ones."""
-    ids_tm = ids.T
-    steps, rows = ids_tm.shape
-    # Gather index (time, row) of the backward direction's input: L-1-t for
-    # t < L, t after. It is its own inverse, so it also restores time order.
-    t = np.arange(steps)[:, None]
-    reverse = (np.where(t < lengths, lengths - 1 - t, t), np.arange(rows))
-    # One gather builds the direction-major, time-major input.
-    states, cache = _lstm_run(model.params, table[np.stack([ids_tm, ids_tm[reverse]])])
-    e = np.concatenate([states[0].transpose(1, 0, 2),
-                        states[1][reverse].transpose(1, 0, 2)], axis=2)
-    return e, (cache, reverse)
+    padding. Only the real steps run, and padded positions come out zero."""
+    rows, steps = ids.shape
+    # Pack, as ``pack_padded_sequence`` does: rows sorted longest first, so
+    # the rows still running at step t are a prefix of step t-1's rows.
+    order = np.argsort(-lengths, kind="stable")
+    live = np.arange(steps)[:, None] < lengths[order]
+    t, k = np.nonzero(live)
+    row = order[k]
+    # The flat (row, step) position each packed step reads and writes: step t
+    # forward, the row's real steps reversed backward (``tf.reverse_sequence``).
+    where = row * steps + np.where(_DIRECTIONS, lengths[row] - 1 - t, t)
+    sizes = live.sum(axis=1)
+    states, cache = _lstm_run(model.params, table[ids.ravel()[where]], sizes)
+    e = np.zeros((rows * steps, 2, states.shape[2]))
+    e[where, _DIRECTIONS] = states
+    return e.reshape(rows, steps, -1), (cache, where, sizes)
 
 
 def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
     """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
     from the gradient of its (rows, steps, 2*hidden) output."""
-    lstm_cache, reverse = cache
-    hidden = model.config.hidden_size
-    g_tm = g_e.transpose(1, 0, 2)
-    g_states = np.stack([g_tm[..., :hidden], g_tm[..., hidden:][reverse]])
-    return _lstm_back(model.params, lstm_cache, g_states)
+    lstm_cache, where, sizes = cache
+    rows, steps, _ = g_e.shape
+    g_states = g_e.reshape(rows * steps, 2, -1)[where, _DIRECTIONS]
+    return _lstm_back(model.params, lstm_cache, g_states, sizes)
 
 
 @dataclass
@@ -276,7 +294,7 @@ class _ForwardCache:
 def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     # Real ids form a prefix, so a row's real length is its count of nonzero
     # ids. Steps past the batch's longest real row are padding everywhere and
-    # are cut before the BiLSTM's one gather from the table.
+    # are cut, so the BiLSTM output and attention span only the real width.
     batch = len(bug_ids)
     ids = np.concatenate([bug_ids, desc_ids])
     lengths = np.count_nonzero(ids, axis=1)

@@ -41,19 +41,19 @@ def lstm_direction(params, d: int, rows) -> np.ndarray:
         c = f * c + i * np.tanh(a[3 * hidden:])
         h = o * np.tanh(c)
         out.append(h)
-    return np.array(out)
+    return np.array(out).reshape(-1, hidden)
 
 
 def bilstm_reference(params, rows, length: int) -> np.ndarray:
     """BiLSTM rows of one (N, dim) sequence whose first ``length`` rows are
     real, without the batched code: the forward direction reads rows
-    0..N-1, the backward one length-1..0 and then the padding length..N-1,
-    and row t concatenates both states at position t."""
-    rows = np.asarray(rows, dtype=np.float64)
-    order = [*range(length - 1, -1, -1), *range(length, len(rows))]
-    backward = np.empty((len(rows), params["w_h"].shape[2]))
-    backward[order] = lstm_direction(params, 1, rows[order])
-    return np.concatenate([lstm_direction(params, 0, rows), backward], axis=1)
+    0..length-1 and the backward one length-1..0; row t < length
+    concatenates both states at position t, and the padded rows are zero."""
+    real = np.asarray(rows, dtype=np.float64)[:length]
+    out = np.zeros((len(rows), 2 * params["w_h"].shape[2]))
+    out[:length] = np.concatenate([lstm_direction(params, 0, real),
+                                   lstm_direction(params, 1, real[::-1])[::-1]], axis=1)
+    return out
 
 
 def attention_weights(e_b, xc_j, mask_b) -> np.ndarray:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patchqa import pairing
+from patchqa import pairing, pipeline
 from patchqa.corpus import load_dataset
+from patchqa.embed import Embedding
 from patchqa.pairing import (
     ExampleKind,
     FoldPlan,
@@ -218,6 +219,34 @@ def test_each_contributing_patch_is_resolved_once(tmp_path, monkeypatch):
     # tool patch P-6 contributes nothing and is never resolved.
     assert calls == {f"P-{i}": 1 for i in range(1, 6)}
     assert len(examples) == 3 + 1 + 3
+
+
+def test_hypothesis_resolves_only_each_bugs_first_developer_description(tmp_path,
+                                                                        monkeypatch):
+    # A long/APR-style corpus: tool patches carry no description, so resolving
+    # one writes a diff summary the study never reads.
+    ds = load(tmp_path, [
+        *(bug(f"B-{i}", title=f"crash in module{i}") for i in range(1, 5)),
+        patch("P-1", "B-1"), patch("P-2", "B-1"),
+        patch("P-3", "B-1", origin="apr:T", label="incorrect"),
+        patch("P-4", "B-2", label="unlabeled"),
+        patch("P-5", "B-2", origin="apr:T"),
+        patch("P-6", "B-3", origin="apr:T", label="incorrect"),
+        patch("P-7", "B-3"), patch("P-8", "B-4"),
+        *(description(f"P-{i}", text=f"guard word{i}") for i in (1, 2, 4, 7, 8)),
+    ])
+    calls, summaries = Counter(), []
+
+    def counting(dataset, record):
+        calls[record.patch_id] += 1
+        return resolve_description(dataset, record)
+
+    monkeypatch.setattr(pairing, "resolve_description", counting)
+    monkeypatch.setattr(pairing, "summarize", lambda hunks: summaries.append(hunks) or "x")
+    study = pipeline.run_hypothesis(ds, Embedding(8, seed=0), seed=0)
+    assert study["pairs"] == 4
+    assert calls == {"P-1": 1, "P-4": 1, "P-7": 1, "P-8": 1}
+    assert summaries == []
 
 
 @given(st.integers(2, 40).flatmap(lambda count: st.tuples(st.just(count),

@@ -87,8 +87,8 @@ def test_reversing_input_swaps_direction_halves():
 def test_batched_bilstm_matches_per_step_reference():
     # Rows of mixed real lengths, zero-padded to one length, run as one batch;
     # each row's forward and backward halves must equal the plain per-step
-    # recurrence over that row, the backward one reading the real steps
-    # reversed before the padding.
+    # recurrence over that row's real steps, the backward one reading them
+    # reversed, and every padded position must come out exactly zero.
     rng = np.random.default_rng(4)
     model = make_model(dim=5, hidden=3, max_len=7)
     n, hidden = model.config.max_seq_len, model.config.hidden_size
@@ -99,18 +99,19 @@ def test_batched_bilstm_matches_per_step_reference():
     # Every real position gets its own table row; padding is id 0.
     table = np.vstack([np.zeros((1, model.input_dim)), rows.reshape(-1, model.input_dim)])
     ids = np.where(np.arange(n) < lengths[:, None], np.arange(1, 4 * n + 1).reshape(4, n), 0)
-    e, (_, reverse) = qa_model._bilstm_run(model, lengths, table, ids)
+    e, (_, where, sizes) = qa_model._bilstm_run(model, lengths, table, ids)
     for r, length in enumerate(lengths):
         expected = bilstm_reference(model.params, rows[r], length)
-        assert np.max(np.abs(e[r, :, :hidden] - expected[:, :hidden])) <= 1e-12
-        assert np.max(np.abs(e[r, :, hidden:] - expected[:, hidden:])) <= 1e-12
-    # The gather index reverses each row within its length, keeps padding in
-    # place, and is its own inverse.
-    index, columns = reverse
-    for r, length in enumerate(lengths):
-        assert index[:, r].tolist() == [*range(length - 1, -1, -1), *range(length, n)]
-    assert columns.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(index[reverse], np.broadcast_to(np.arange(n)[:, None], (n, 4)))
+        assert np.all(np.abs(e[r, :, :hidden] - expected[:, :hidden]) <= 1e-12)
+        assert np.all(np.abs(e[r, :, hidden:] - expected[:, hidden:]) <= 1e-12)
+        assert np.all(e[r, length:] == 0.0)
+    # Packing: the running rows shrink step by step and cover the real steps;
+    # each real (row, step) is read once per direction, and no padding is.
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert sum(sizes) == lengths.sum()
+    real = sorted(r * n + t for r, length in enumerate(lengths) for t in range(length))
+    assert sorted(where[0].tolist()) == real
+    assert sorted(where[1].tolist()) == real
 
 
 def test_bilstm_rejects_dim_mismatch():
@@ -335,36 +336,88 @@ def relative_error(analytic, numeric):
 
 def test_gradients_match_central_finite_differences():
     rng = np.random.default_rng(42)
-    dim, hidden, n, batch = 4, 3, 5, 2
+    dim, hidden, n = 4, 3, 5
     model = make_model(dim=dim, hidden=hidden, max_len=n, seed=7)
-    # Prefix masks; every real position reads its own random table row.
-    bug_mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
-    desc_mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
-    table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
-    positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
-    bug_ids, desc_ids = positions[0] * bug_mask, positions[1] * desc_mask
-    labels = np.array([1.0, 0.0])
+    # Prefix masks and labels. The second case packs a zero-length bug row and
+    # ties the real lengths of rows on both sides (bug 1, descriptions 0 and 1).
+    cases = [
+        ([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], [[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], [1.0, 0.0]),
+        ([[0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
+         [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [1.0, 0.0, 1.0]),
+    ]
+    for bug_mask, desc_mask, labels in cases:
+        batch = len(labels)
+        labels = np.array(labels)
+        # Every real position reads its own random table row.
+        table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
+        positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
+        bug_ids, desc_ids = positions[0] * bug_mask, positions[1] * desc_mask
 
-    def batch_loss():
-        value, _ = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-        return value
+        def batch_loss():
+            value, _ = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+            return value
 
-    _, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-    h = 1e-4
-    for name, param in model.params.items():
-        numeric = np.zeros_like(param)
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            original = param[ix]
-            param[ix] = original + h
-            up = batch_loss()
-            param[ix] = original - h
-            down = batch_loss()
-            param[ix] = original
-            numeric[ix] = (up - down) / (2 * h)
-            it.iternext()
-        assert relative_error(grads[name], numeric) < 1e-3, name
+        _, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+        h = 1e-4
+        for name, param in model.params.items():
+            numeric = np.zeros_like(param)
+            it = np.nditer(param, flags=["multi_index"])
+            while not it.finished:
+                ix = it.multi_index
+                original = param[ix]
+                param[ix] = original + h
+                up = batch_loss()
+                param[ix] = original - h
+                down = batch_loss()
+                param[ix] = original
+                numeric[ix] = (up - down) / (2 * h)
+                it.iternext()
+            assert relative_error(grads[name], numeric) < 1e-3, (batch, name)
+
+
+def test_batch_does_not_depend_on_row_order():
+    # Packing sorts the stacked rows by length; a permuted batch, with tied
+    # lengths on both sides and a zero-length row, must give the permuted
+    # scores and the same loss and gradients.
+    rng = np.random.default_rng(21)
+    model = make_model(dim=5, hidden=3, max_len=6)
+    table = random_table(rng, 5)
+    sizes = [(3, 2), (0, 4), (3, 2), (6, 3), (1, 0), (3, 3)]
+    examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in sizes]
+    bug_ids, desc_ids, labels = stack_examples(examples)
+    perm = np.array([4, 2, 5, 0, 3, 1])
+    scores = score_many(model, examples, table)
+    permuted = score_many(model, [examples[i] for i in perm], table)
+    assert np.all(np.abs(permuted - scores[perm]) <= 1e-15)
+    loss_value, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+    loss_permuted, grads_permuted = batch_loss_and_gradients(
+        model, table, bug_ids[perm], desc_ids[perm], labels[perm])
+    assert abs(loss_permuted - loss_value) <= 1e-15
+    for name in model.params:
+        assert np.all(np.abs(grads_permuted[name] - grads[name]) <= 1e-15), name
+
+
+def test_lstm_reads_only_real_positions(monkeypatch):
+    # The recurrence sees each real (row, step) once per direction and no padding.
+    seen = []
+    lstm_run = qa_model._lstm_run
+
+    def recording(params, x, *rest):
+        seen.append(x.shape)
+        return lstm_run(params, x, *rest)
+
+    monkeypatch.setattr(qa_model, "_lstm_run", recording)
+    rng = np.random.default_rng(22)
+    model = make_model(dim=4, hidden=3, max_len=8)
+    table = random_table(rng, 4)
+    sizes = [(8, 1), (2, 5), (0, 3), (5, 5)]
+    examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in sizes]
+    bug_ids, desc_ids, labels = stack_examples(examples)
+    batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+    score_many(model, examples, table)
+    real = np.count_nonzero(bug_ids) + np.count_nonzero(desc_ids)
+    assert real == 29
+    assert seen == [(2, real, 4)] * 2
 
 
 # --- training -----------------------------------------------------------------
