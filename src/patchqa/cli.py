@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import pipeline, qa_model
 from .corpus import DatasetError
-from .diffsum import DiffParseError, describe_diff
+from .diffsum import describe_diff
 from .pipeline import EmbeddingSpec, PipelineError, RunConfig
 
 
@@ -262,6 +262,10 @@ def _option_types() -> dict[str, dict]:
             for name, sp in commands.choices.items()}
 
 
+# Options read only from their flags: a config value for one would be ignored.
+_FLAG_ONLY = {"dataset", "out", "model", "model_out", "bug_text", "bug_file",
+              "description", "diff_file"}
+
 # JSON types a config value may take, by the argparse type of its option.
 _CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                  None: (str, "a string")}
@@ -282,7 +286,8 @@ def _one_key_per_option(pairs) -> dict:
 
 def _config_values(path, command: str) -> dict:
     """Config-file values keyed by option name. Every key must name an option
-    of some subcommand, so one file may serve several. A value for an option
+    of some subcommand, so one file may serve several, and none may name an
+    input or output path or text (``_FLAG_ONLY``). A value for an option
     of ``command`` must have that option's type; JSON true is no number, and
     ``thresholds`` may also be a list of numbers."""
     try:
@@ -296,8 +301,11 @@ def _config_values(path, command: str) -> dict:
     known = {dest for types in _option_types().values() for dest in types}
     option_types = _option_types()[command]
     for key in values:
-        if key.replace("-", "_") not in known:
+        name = key.replace("-", "_")
+        if name not in known:
             raise ValueError(f"config: unknown option {key!r}")
+        if name in _FLAG_ONLY:
+            raise ValueError(f"config: {key!r} may only be given as a flag")
     for name, value in out.items():
         if name not in option_types:
             continue
@@ -315,8 +323,8 @@ def main(argv=None) -> int:
         if args.config:
             args._config_values = _config_values(args.config, args.command)
         return args.func(args)
-    except (DatasetError, DiffParseError, PipelineError, qa_model.TrainingError,
-            ValueError, OSError) as exc:
+    except (DatasetError, PipelineError, qa_model.TrainingError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """Evaluation metrics, threshold sweeps and rank statistics.
 
-All operations are pure over immutable score lists. Recall metrics raise on
-undefined denominators instead of reporting 0; the sweep maps undefined
-entries to None.
+Every metric over scored examples takes two equal-length arrays, the scores
+and their 0/1 labels, and reads them in numpy passes. +Recall, -Recall, F1
+and AUC are None where they are undefined (an empty denominator, or a class
+with no examples) rather than 0. The Mann-Whitney-Wilcoxon test raises
+instead, on samples it cannot judge.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ import numpy as np
 
 __all__ = [
     "ConfusionMatrix",
-    "DistanceStudy",
     "MwwResult",
     "ThresholdSweep",
     "auc",
     "check_thresholds",
     "confusion_at",
-    "euclidean_distance_study",
     "f1",
     "minus_recall",
     "mww_test",
@@ -37,74 +37,52 @@ class ConfusionMatrix:
     fn: int
 
 
-def confusion_at(scored, threshold: float) -> ConfusionMatrix:
+def confusion_at(scores, labels, threshold: float) -> ConfusionMatrix:
     """Tally predictions at a threshold; score ties classify as positive."""
-    tp = tn = fp = fn = 0
-    for score_value, label in scored:
-        predicted = score_value >= threshold
-        if predicted and label:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif label:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    predicted = np.asarray(scores) >= threshold
+    actual = np.asarray(labels) == 1
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    return ConfusionMatrix(tp=tp, tn=len(predicted) - tp - fp - fn, fp=fp, fn=fn)
 
 
-def plus_recall(cm: ConfusionMatrix) -> float:
-    """tp / (tp + fn): share of correct patches identified."""
-    if cm.tp + cm.fn == 0:
-        raise ValueError("+Recall undefined: no positive examples")
-    return cm.tp / (cm.tp + cm.fn)
+def plus_recall(cm: ConfusionMatrix) -> float | None:
+    """tp / (tp + fn): share of correct patches identified; None without any."""
+    return cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else None
 
 
-def minus_recall(cm: ConfusionMatrix) -> float:
-    """tn / (tn + fp): share of incorrect patches filtered out."""
-    if cm.tn + cm.fp == 0:
-        raise ValueError("-Recall undefined: no negative examples")
-    return cm.tn / (cm.tn + cm.fp)
+def minus_recall(cm: ConfusionMatrix) -> float | None:
+    """tn / (tn + fp): share of incorrect patches filtered out; None without any."""
+    return cm.tn / (cm.tn + cm.fp) if cm.tn + cm.fp else None
 
 
-def f1(cm: ConfusionMatrix) -> float:
-    """2*tp / (2*tp + fp + fn)."""
+def f1(cm: ConfusionMatrix) -> float | None:
+    """2*tp / (2*tp + fp + fn); None when no positive is present or predicted."""
     denom = 2 * cm.tp + cm.fp + cm.fn
-    if denom == 0:
-        raise ValueError("F1 undefined: no positives present or predicted")
-    return 2 * cm.tp / denom
+    return 2 * cm.tp / denom if denom else None
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their ordinal ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    i = 0
-    n = values.shape[0]
-    while i < n:
-        j = i
-        while j < n and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks, where tied values share the mean of their ordinal
+    ranks, and the size of each group of tied values."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the ordinal rank of each group's last member
+    return (last - 0.5 * (counts - 1))[group], counts
 
 
-def auc(scored) -> float:
-    """Probability that a random positive outscores a random negative.
-
-    Ties count one half; rank-statistic formulation, equivalent to the ROC
-    trapezoid area.
-    """
-    pairs = list(scored)
-    scores = np.array([s for s, _ in pairs], dtype=np.float64)
-    labels = np.array([label for _, label in pairs])
-    positives = int((labels == 1).sum())
+def auc(scores, labels) -> float | None:
+    """Probability that a random positive outscores a random negative, ties
+    counting one half: the rank-sum form of the ROC trapezoid area. None
+    unless both classes are present."""
+    labels = np.asarray(labels)
+    positive = labels == 1
+    positives = int(positive.sum())
     negatives = int((labels == 0).sum())
     if positives == 0 or negatives == 0:
-        raise ValueError("auc needs at least one positive and one negative")
-    ranks = _midranks(scores)
-    rank_sum = float(ranks[labels == 1].sum())
+        return None
+    ranks, _ = _midranks(np.asarray(scores, dtype=np.float64))
+    rank_sum = float(ranks[positive].sum())
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
 
 
@@ -127,11 +105,9 @@ def mww_test(sample_a, sample_b) -> MwwResult:
     n1, n2 = a.shape[0], b.shape[0]
     if n1 < 3 or n2 < 3:
         raise ValueError("mww_test needs at least 3 elements in each sample")
-    combined = np.concatenate([a, b])
-    ranks = _midranks(combined)
+    ranks, counts = _midranks(np.concatenate([a, b]))
     u_stat = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     n = n1 + n2
-    _, counts = np.unique(combined, return_counts=True)
     tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
@@ -142,64 +118,12 @@ def mww_test(sample_a, sample_b) -> MwwResult:
 
 
 @dataclass(frozen=True)
-class DistanceStudy:
-    original_distances: np.ndarray
-    random_distances: np.ndarray
-    u_statistic: float
-    p_value: float
-
-    @property
-    def original_median(self) -> float:
-        return float(np.median(self.original_distances))
-
-    @property
-    def random_median(self) -> float:
-        return float(np.median(self.random_distances))
-
-
-def _pair_distances(pairs) -> np.ndarray:
-    out = []
-    dim = None
-    for a, b in pairs:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 1 or a.shape != b.shape:
-            raise ValueError("vector dimension mismatch within a pair")
-        if dim is None:
-            dim = a.shape[0]
-        elif a.shape[0] != dim:
-            raise ValueError("inconsistent vector dimensions across pairs")
-        out.append(float(np.linalg.norm(a - b)))
-    return np.asarray(out)
-
-
-def euclidean_distance_study(original_pairs, random_pairs) -> DistanceStudy:
-    """Compare L2 distances of matched pairs against randomized pairs.
-
-    The matched-text hypothesis holds when the original distances are
-    stochastically smaller than the random ones (small p, smaller median).
-    """
-    original = _pair_distances(original_pairs)
-    randomized = _pair_distances(random_pairs)
-    result = mww_test(original, randomized)
-    return DistanceStudy(original_distances=original, random_distances=randomized,
-                         u_statistic=result.u_statistic, p_value=result.p_value)
-
-
-@dataclass(frozen=True)
 class ThresholdSweep:
     """One row per threshold: the threshold, the confusion counts and the
     recalls and F1 (None where undefined); plus the AUC (None if undefined)."""
 
     rows: list[dict]
     auc: float | None
-
-
-def _maybe(fn, cm):
-    try:
-        return fn(cm)
-    except ValueError:
-        return None
 
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
@@ -212,17 +136,15 @@ def check_thresholds(thresholds) -> tuple[float, ...]:
     return ts
 
 
-def threshold_sweep(scored, thresholds) -> ThresholdSweep:
+def threshold_sweep(scores, labels, thresholds) -> ThresholdSweep:
     """Confusion counts and recalls per threshold, plus the global AUC.
 
     +Recall is non-increasing and -Recall non-decreasing in the threshold.
     """
-    pairs = list(scored)
     rows = []
     for t in check_thresholds(thresholds):
-        cm = confusion_at(pairs, t)
+        cm = confusion_at(scores, labels, t)
         rows.append({"threshold": t, "tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn,
-                     "plus_recall": _maybe(plus_recall, cm),
-                     "minus_recall": _maybe(minus_recall, cm),
-                     "f1": _maybe(f1, cm)})
-    return ThresholdSweep(rows=rows, auc=_maybe(auc, pairs) if pairs else None)
+                     "plus_recall": plus_recall(cm), "minus_recall": minus_recall(cm),
+                     "f1": f1(cm)})
+    return ThresholdSweep(rows=rows, auc=auc(scores, labels))

@@ -196,9 +196,8 @@ def _score_rows(examples, scores) -> list[tuple[str, str, int, float]]:
     return [(ex.patch_id, ex.bug_id, ex.label, float(s)) for ex, s in zip(examples, scores)]
 
 
-def _scored(rows) -> list[tuple[float, int]]:
-    """(score, label) pairs of score rows, as the metrics take them."""
-    return [(score_value, label) for _, _, label, score_value in rows]
+def _labels(examples) -> np.ndarray:
+    return np.array([ex.label for ex in examples])
 
 
 def _mean_over_folds(per_fold: list[dict]) -> dict:
@@ -227,7 +226,6 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     vectors = dict(zip(examples, batch))
     per_fold = []
     folds = []
-    rows: list[tuple[str, str, int, float]] = []
     for group in range(config.k):
         if progress is not None:
             progress(group, config.k)
@@ -237,22 +235,22 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         _, history = _stage(f"training fold {group}", qa_model.train,
                             fold_model, train_batch, table)
         scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples], table)
-        fold_rows = _score_rows(test_examples, scores)
-        sweep = metrics.threshold_sweep(_scored(fold_rows), (config.threshold,))
+        sweep = metrics.threshold_sweep(scores, _labels(test_examples), (config.threshold,))
         at = sweep.rows[0]
         per_fold.append({
             "fold": group,
             "train_examples": len(train_batch),
-            "test_examples": len(fold_rows),
+            "test_examples": len(test_examples),
             "auc": sweep.auc,
             "f1": at["f1"],
             "plus_recall": at["plus_recall"],
             "minus_recall": at["minus_recall"],
             "loss_history": history,
         })
-        rows += fold_rows
         folds.append(FoldOutcome(group, fold_model, test_examples, scores))
-    sweep = metrics.threshold_sweep(_scored(rows), config.thresholds)
+    pooled = [ex for fold in folds for ex in fold.test_examples]
+    scores = np.concatenate([fold.scores for fold in folds])
+    sweep = metrics.threshold_sweep(scores, _labels(pooled), config.thresholds)
     positives = sum(1 for ex in examples if ex.label == 1)
     report = {
         "config": config.describe(),
@@ -268,7 +266,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
             "duplicates_removed": removed,
         },
     }
-    return CrossvalResult(report=report, plan=plan, score_rows=rows, folds=folds)
+    return CrossvalResult(report=report, plan=plan, score_rows=_score_rows(pooled, scores),
+                          folds=folds)
 
 
 def write_json(obj, path) -> None:
@@ -325,9 +324,9 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     seed and thresholds of ``config`` apply."""
     _check_thresholds(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
-    rows = _score_rows(examples, score_examples(model, examples, provider))
-    sweep = metrics.threshold_sweep(_scored(rows), config.thresholds)
-    at_threshold = metrics.threshold_sweep(_scored(rows), (config.threshold,)).rows[0]
+    scores, labels = score_examples(model, examples, provider), _labels(examples)
+    sweep = metrics.threshold_sweep(scores, labels, config.thresholds)
+    at_threshold = metrics.threshold_sweep(scores, labels, (config.threshold,)).rows[0]
     del at_threshold["threshold"]
     report = {
         "config": {
@@ -344,12 +343,15 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
             "duplicates_removed": removed,
         },
     }
-    return report, rows
+    return report, _score_rows(examples, scores)
 
 
 def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
-    """Distance study: matched (bug report, developer description) pairs vs
-    seeded random re-pairings, on jointly standardized mean-token vectors."""
+    """Distance study over jointly standardized mean-token vectors: the
+    Euclidean distances of matched (bug report, first developer description)
+    pairs against those of seeded random re-pairings, compared by
+    ``metrics.mww_test``. The matched-text hypothesis holds when the matched
+    distances are stochastically smaller (small p, smaller median)."""
     first: dict[str, str] = {}  # each bug's first developer description
     for patch in ds.patches.values():
         if patch.origin.is_developer and patch.bug_id not in first:
@@ -368,24 +370,23 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     bug_std = standardized[:n]
     desc_std = standardized[n:]
     rng = np.random.default_rng(seed)
-    original = [(bug_std[i], desc_std[i]) for i in range(n)]
-    randomized = [(bug_std[i], desc_std[pairing.draw_other(rng, n, i)]) for i in range(n)]
-    study = metrics.euclidean_distance_study(original, randomized)
+    others = [pairing.draw_other(rng, n, i) for i in range(n)]
+    # One norm per pair: a row-wise (axis=1) norm can differ in the last bits.
+    distances = {"original": [np.linalg.norm(bug_std[i] - desc_std[i]) for i in range(n)],
+                 "random": [np.linalg.norm(bug_std[i] - desc_std[j])
+                            for i, j in enumerate(others)]}
+    result = metrics.mww_test(distances["original"], distances["random"])
+    summary = {name: {"median": float(np.median(d)), "mean": float(np.mean(d)),
+                      "distances": [float(x) for x in d]} for name, d in distances.items()}
     return {
         "pairs": n,
         "seed": seed,
-        "u_statistic": study.u_statistic,
-        "p_value": study.p_value,
-        "original": _distance_summary(study.original_median, study.original_distances),
-        "random": _distance_summary(study.random_median, study.random_distances),
+        "u_statistic": result.u_statistic,
+        "p_value": result.p_value,
+        **summary,
         "original_stochastically_smaller":
-            bool(study.original_median < study.random_median),
+            summary["original"]["median"] < summary["random"]["median"],
     }
-
-
-def _distance_summary(median: float, distances: np.ndarray) -> dict:
-    return {"median": median, "mean": float(distances.mean()),
-            "distances": [float(x) for x in distances]}
 
 
 def mismatch_ablation(result: CrossvalResult, provider, threshold: float,

@@ -281,7 +281,6 @@ class _ForwardCache:
     e_b: np.ndarray
     e_c: np.ndarray
     alpha: np.ndarray
-    bug_mask: np.ndarray
     desc_mask: np.ndarray
     rb: np.ndarray
     rc: np.ndarray
@@ -299,20 +298,20 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     ids = np.concatenate([bug_ids, desc_ids])
     lengths = np.count_nonzero(ids, axis=1)
     ids = ids[:, :max(1, int(lengths.max()))]
-    mask = (ids > 0).astype(np.float64)
-    bug_mask, desc_mask = mask[:batch], mask[batch:]
+    desc_mask = (ids[batch:] > 0).astype(np.float64)
     # One BiLSTM pass over the bug rows and the description rows stacked.
     e, bilstm_cache = _bilstm_run(model, lengths, table, ids)
     e_b, e_c = e[:batch], e[batch:]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the
     # zero-norm rule then forces those scores to 0.5 anyway.
-    logits = np.where(bug_mask[:, :, None] > 0, logits, _MASKED_LOGIT)
+    logits = np.where(ids[:batch, :, None] > 0, logits, _MASKED_LOGIT)
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
     alpha = weights / weights.sum(axis=1, keepdims=True)
     attended = alpha.transpose(0, 2, 1) @ e_b
     attended *= desc_mask[:, :, None]
-    rb = (e_b * bug_mask[:, :, None]).reshape(batch, -1)
+    # Padded positions of e_b are already exact zeros.
+    rb = e_b.reshape(batch, -1)
     rc = attended.reshape(batch, -1)
     dot = (rb * rc).sum(axis=1)
     norm_b = np.linalg.norm(rb, axis=1)
@@ -321,7 +320,7 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha, bug_mask, desc_mask,
+    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha, desc_mask,
                           rb, rc, dot, norm_b, norm_c, scores)
     return scores, cache
 
@@ -339,10 +338,10 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     nc3 = np.where(ok, cache.norm_c ** 3 * cache.norm_b, 1.0)
     g_rb = g_cos[:, None] * (cache.rc / safe[:, None] - (cache.dot / nb3)[:, None] * cache.rb)
     g_rc = g_cos[:, None] * (cache.rb / safe[:, None] - (cache.dot / nc3)[:, None] * cache.rc)
-    g_e_b = g_rb.reshape(cache.e_b.shape) * cache.bug_mask[:, :, None]
+    # Padded rows of g_e_b are left unmasked: _bilstm_back never reads them.
     g_att = g_rc.reshape(cache.e_c.shape) * cache.desc_mask[:, :, None]
     g_alpha = cache.e_b @ g_att.transpose(0, 2, 1)
-    g_e_b = g_e_b + cache.alpha @ g_att
+    g_e_b = g_rb.reshape(cache.e_b.shape) + cache.alpha @ g_att
     inner = (cache.alpha * g_alpha).sum(axis=1, keepdims=True)
     g_logits = cache.alpha * (g_alpha - inner)
     g_e_b += g_logits @ cache.e_c

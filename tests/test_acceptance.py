@@ -271,7 +271,7 @@ def test_criterion_6_statistics_oracles():
         labels[: int(rng.integers(1, 12))] = 1
         rng.shuffle(labels)
         scored = list(zip(scores.tolist(), labels.tolist()))
-        assert abs(auc(scored) - brute_force_auc(scored)) <= 1e-12
+        assert abs(auc(scores, labels) - brute_force_auc(scored)) <= 1e-12
         checked_auc += 1
     elapsed = time.time() - started
     assert checked_u >= 45 and checked_auc == 50

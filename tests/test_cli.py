@@ -249,6 +249,23 @@ def test_evaluate_writes_report(trained_checkpoint, small_corpus, tmp_path, caps
     assert (out_dir / "scores.csv").exists()
 
 
+def test_evaluate_writes_null_for_undefined_metrics(tmp_path, capsys):
+    # One bug with one developer patch: one positive, no mismatch, no negative.
+    path = write_jsonl(tmp_path / "d.jsonl", [bug("B-1"), patch("P-1", "B-1"),
+                                             description("P-1")])
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run_cli(capsys, ["train", "--dataset", path, "--model-out", ckpt,
+                                    *FAST_MODEL])
+    assert code == 0, err
+    code, _, err = run_cli(capsys, ["evaluate", "--model", ckpt, "--dataset", path,
+                                    "--out", tmp_path / "eval"])
+    assert code == 0, err
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["statistics"]["examples"] == 1
+    assert report["statistics"]["auc"] is None
+    assert report["at_threshold"]["minus_recall"] is None
+
+
 @pytest.mark.parametrize("flags, message", [
     pytest.param(["--threshold", "7"], "thresholds must lie in [0, 1]", id="threshold-7"),
     pytest.param(["--thresholds", "0.6,0.4"], "thresholds must be sorted ascending",
@@ -454,6 +471,21 @@ def test_config_key_no_subcommand_knows_fails_cleanly(
     saved = predict_score(capsys, trained_checkpoint)
     shared = write_config(tmp_path, {"epochs": 1, "k": 3, "fold-seed": 2})
     assert predict_score(capsys, trained_checkpoint, config=shared) == saved
+
+
+@pytest.mark.parametrize("key", ["dataset", "out", "model", "model-out", "model_out",
+                                 "bug-text", "bug-file", "description", "diff-file"])
+def test_config_key_read_only_from_its_flag_fails_cleanly(small_corpus, tmp_path, capsys,
+                                                          key):
+    # Such a value would be accepted and never read: {"out": ...} wrote no file.
+    summary = tmp_path / "summary.json"
+    config = write_config(tmp_path, {key: str(summary)})
+    code, out, err = run_cli(capsys, ["--config", config, "ingest",
+                                      "--dataset", small_corpus])
+    assert code == 1
+    assert err == f"error: config: {key!r} may only be given as a flag\n"
+    assert out == ""
+    assert not summary.exists()
 
 
 @pytest.mark.parametrize("text, message", [

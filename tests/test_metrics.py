@@ -8,7 +8,6 @@ from patchqa.metrics import (
     ConfusionMatrix,
     auc,
     confusion_at,
-    euclidean_distance_study,
     f1,
     minus_recall,
     mww_test,
@@ -31,17 +30,23 @@ PUBLISHED_ROWS = {
 }
 
 
+def split(scored):
+    """The score array and the label array of (score, label) points."""
+    return (np.array([s for s, _ in scored], dtype=np.float64),
+            np.array([y for _, y in scored], dtype=np.int64))
+
+
 def test_confusion_all_positive_labels():
-    scored = [(0.7, 1), (0.3, 1), (0.5, 1)]
-    cm = confusion_at(scored, 0.0)
+    cm = confusion_at([0.7, 0.3, 0.5], [1, 1, 1], 0.0)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (3, 0, 0, 0)
 
 
 def test_confusion_matches_published_row_reconstruction():
     # Scores placed around t=0.4 so the tallies reproduce the published row.
     tp, tn, fp, fn = 1475, 4653, 2891, 116
-    scored = ([(0.5, 1)] * tp + [(0.3, 1)] * fn + [(0.5, 0)] * fp + [(0.3, 0)] * tn)
-    cm = confusion_at(scored, 0.4)
+    scores = np.repeat([0.5, 0.3, 0.5, 0.3], [tp, fn, fp, tn])
+    labels = np.repeat([1, 1, 0, 0], [tp, fn, fp, tn])
+    cm = confusion_at(scores, labels, 0.4)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (tp, tn, fp, fn)
 
 
@@ -49,16 +54,17 @@ def test_confusion_matches_brute_force_on_random_points():
     rng = np.random.default_rng(0)
     scored = [(float(rng.random()), int(rng.integers(0, 2))) for _ in range(20)]
     threshold = 0.37
-    cm = confusion_at(scored, threshold)
+    cm = confusion_at(*split(scored), threshold)
     tp = sum(1 for s, y in scored if s >= threshold and y == 1)
     fp = sum(1 for s, y in scored if s >= threshold and y == 0)
     fn = sum(1 for s, y in scored if s < threshold and y == 1)
     tn = sum(1 for s, y in scored if s < threshold and y == 0)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (tp, tn, fp, fn)
+    assert all(type(n) is int for n in (cm.tp, cm.tn, cm.fp, cm.fn))
 
 
 def test_confusion_tie_counts_as_positive():
-    cm = confusion_at([(0.5, 1), (0.5, 0)], 0.5)
+    cm = confusion_at([0.5, 0.5], [1, 0], 0.5)
     assert cm.tp == 1 and cm.fp == 1
 
 
@@ -73,10 +79,8 @@ def test_recalls_reproduce_published_values(threshold, row):
 def test_recall_edge_values():
     assert plus_recall(ConfusionMatrix(5, 0, 0, 0)) == 1.0
     assert minus_recall(ConfusionMatrix(0, 5, 0, 0)) == 1.0
-    with pytest.raises(ValueError):
-        plus_recall(ConfusionMatrix(0, 3, 2, 0))
-    with pytest.raises(ValueError):
-        minus_recall(ConfusionMatrix(3, 0, 0, 2))
+    assert plus_recall(ConfusionMatrix(0, 3, 2, 0)) is None
+    assert minus_recall(ConfusionMatrix(3, 0, 0, 2)) is None
 
 
 def test_f1_values():
@@ -84,8 +88,7 @@ def test_f1_values():
     assert f1(ConfusionMatrix(10, 5, 0, 0)) == 1.0
     # arithmetic on the published threshold-0.4 row
     assert f1(ConfusionMatrix(1475, 4653, 2891, 116)) == pytest.approx(0.495, abs=5e-4)
-    with pytest.raises(ValueError):
-        f1(ConfusionMatrix(0, 5, 0, 0))
+    assert f1(ConfusionMatrix(0, 5, 0, 0)) is None
 
 
 # --- AUC -----------------------------------------------------------------------
@@ -105,13 +108,11 @@ def brute_force_auc(scored):
 
 
 def test_auc_perfect_separation():
-    scored = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-    assert auc(scored) == 1.0
+    assert auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
 
 def test_auc_all_ties():
-    scored = [(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]
-    assert auc(scored) == 0.5
+    assert auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
 
 def test_auc_matches_brute_force_pair_counting():
@@ -122,12 +123,13 @@ def test_auc_matches_brute_force_pair_counting():
         labels = {y for _, y in scored}
         if labels != {0, 1}:
             continue
-        assert auc(scored) == pytest.approx(brute_force_auc(scored), abs=1e-12)
+        assert auc(*split(scored)) == pytest.approx(brute_force_auc(scored), abs=1e-12)
 
 
 def test_auc_rejects_single_class():
-    with pytest.raises(ValueError):
-        auc([(0.5, 1), (0.7, 1)])
+    assert auc([0.5, 0.7], [1, 1]) is None
+    assert auc([0.5, 0.7], [0, 0]) is None
+    assert auc([], []) is None
 
 
 def test_auc_invariant_under_increasing_transform():
@@ -136,7 +138,7 @@ def test_auc_invariant_under_increasing_transform():
     scored[0] = (scored[0][0], 1)
     scored[1] = (scored[1][0], 0)
     transformed = [(math.exp(3 * s) + s, y) for s, y in scored]
-    assert auc(transformed) == pytest.approx(auc(scored), abs=1e-12)
+    assert auc(*split(transformed)) == pytest.approx(auc(*split(scored)), abs=1e-12)
 
 
 # --- Mann-Whitney-Wilcoxon -------------------------------------------------------
@@ -212,46 +214,11 @@ def test_mww_agrees_with_scipy(tied):
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12)
 
 
-# --- Euclidean distance study -------------------------------------------------------
-
-
-def test_distance_of_identical_pair_is_zero():
-    pairs = [(np.ones(3), np.ones(3))] * 3
-    other = [(np.zeros(3), np.ones(3))] * 3
-    study = euclidean_distance_study(pairs, other)
-    assert np.all(study.original_distances == 0.0)
-
-
-def test_three_four_five_distance():
-    study = euclidean_distance_study(
-        [(np.array([0.0, 0.0]), np.array([3.0, 4.0]))] * 3,
-        [(np.array([0.0, 0.0]), np.array([1.0, 1.0]))] * 3,
-    )
-    assert np.all(study.original_distances == 5.0)
-
-
-def test_distance_study_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        euclidean_distance_study([(np.ones(3), np.ones(2))] * 3,
-                                 [(np.ones(3), np.ones(3))] * 3)
-
-
-def test_distance_study_detects_matched_pairs():
-    rng = np.random.default_rng(4)
-    anchors = rng.normal(size=(40, 8))
-    matched = [(a, a + rng.normal(scale=0.1, size=8)) for a in anchors]
-    randomized = [(anchors[i], anchors[(i + 7) % 40] + rng.normal(scale=0.1, size=8))
-                  for i in range(40)]
-    study = euclidean_distance_study(matched, randomized)
-    assert study.original_median < study.random_median
-    assert study.p_value < 0.01
-
-
 # --- threshold sweep ------------------------------------------------------------------
 
 
 def test_sweep_single_threshold():
-    sweep = threshold_sweep([(0.7, 1), (0.3, 0)], [0.5])
+    sweep = threshold_sweep([0.7, 0.3], [1, 0], [0.5])
     assert len(sweep.rows) == 1
     assert [sweep.rows[0][k] for k in ("tp", "tn", "fp", "fn")] == [1, 1, 0, 0]
     assert sweep.auc == 1.0
@@ -259,13 +226,13 @@ def test_sweep_single_threshold():
 
 def test_sweep_requires_sorted_thresholds():
     with pytest.raises(ValueError, match="sorted"):
-        threshold_sweep([(0.7, 1), (0.3, 0)], [0.5, 0.4])
+        threshold_sweep([0.7, 0.3], [1, 0], [0.5, 0.4])
 
 
 @pytest.mark.parametrize("thresholds", [[7.0], [-0.1, 0.5], [0.5, float("nan")]])
 def test_sweep_requires_thresholds_in_unit_interval(thresholds):
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-        threshold_sweep([(0.7, 1), (0.3, 0)], thresholds)
+        threshold_sweep([0.7, 0.3], [1, 0], thresholds)
 
 
 def test_sweep_low_threshold_row_on_banded_scores():
@@ -275,7 +242,7 @@ def test_sweep_low_threshold_row_on_banded_scores():
     scored = [(float(rng.uniform(0.2690, 0.7310)), int(rng.integers(0, 2)))
               for _ in range(50)]
     scored += [(0.5, 1), (0.5, 0)]
-    sweep = threshold_sweep(scored, [0.1])
+    sweep = threshold_sweep(*split(scored), [0.1])
     assert sweep.rows[0]["plus_recall"] == 1.0
     assert sweep.rows[0]["minus_recall"] == 0.0
 
@@ -285,7 +252,7 @@ def test_sweep_low_threshold_row_on_banded_scores():
                 min_size=1, max_size=40))
 def test_sweep_recall_monotonicity(scored):
     thresholds = [0.1, 0.3, 0.5, 0.7, 0.9]
-    sweep = threshold_sweep(scored, thresholds)
+    sweep = threshold_sweep(*split(scored), thresholds)
     plus = [r["plus_recall"] for r in sweep.rows if r["plus_recall"] is not None]
     minus = [r["minus_recall"] for r in sweep.rows if r["minus_recall"] is not None]
     assert all(a >= b - 1e-12 for a, b in zip(plus, plus[1:]))
@@ -293,7 +260,7 @@ def test_sweep_recall_monotonicity(scored):
 
 
 def test_sweep_rows_shape():
-    rows = threshold_sweep([(0.7, 1), (0.3, 0)], [0.2, 0.5]).rows
+    rows = threshold_sweep([0.7, 0.3], [1, 0], [0.2, 0.5]).rows
     assert [r["threshold"] for r in rows] == [0.2, 0.5]
     assert set(rows[0]) == {"threshold", "tp", "tn", "fp", "fn",
                             "plus_recall", "minus_recall", "f1"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patchqa import pairing, pipeline
+from patchqa import embed, pairing, pipeline
 from patchqa.corpus import load_dataset
 from patchqa.embed import Embedding
 from patchqa.pairing import (
@@ -247,6 +247,46 @@ def test_hypothesis_resolves_only_each_bugs_first_developer_description(tmp_path
     assert study["pairs"] == 4
     assert calls == {"P-1": 1, "P-4": 1, "P-7": 1, "P-8": 1}
     assert summaries == []
+
+
+def hypothesis_corpus(tmp_path, repeat_bug_text=False):
+    """Four bugs, each with one described developer patch."""
+    titles = ["crash on empty input", "parser fails on header", "slow export of tables",
+              "login button ignored"]
+    records = []
+    for i, title in enumerate(titles, 1):
+        body = f"seen in module{i}"
+        text = f"{title}\n{body}" if repeat_bug_text else f"guard word{i} in module{i}"
+        records += [bug(f"B-{i}", title=title, body=body), patch(f"P-{i}", f"B-{i}"),
+                    description(f"P-{i}", text=text)]
+    return load(tmp_path, records)
+
+
+def test_hypothesis_distance_of_a_repeated_text_is_zero(tmp_path):
+    # A description that repeats its bug report's text has the same vector.
+    study = pipeline.run_hypothesis(hypothesis_corpus(tmp_path, repeat_bug_text=True),
+                                    Embedding(8, seed=0), seed=0)
+    assert study["original"]["distances"] == [0.0] * 4
+    assert min(study["random"]["distances"]) > 0.0
+    assert study["original_stochastically_smaller"] is True
+
+
+def test_hypothesis_distances_are_per_pair_norms(tmp_path):
+    ds = hypothesis_corpus(tmp_path)
+    provider = Embedding(8, seed=0)
+    study = pipeline.run_hypothesis(ds, provider, seed=5)
+    texts = [ds.bugs[f"B-{i}"].text for i in range(1, 5)]
+    texts += [ds.descriptions[f"P-{i}"].text for i in range(1, 5)]
+    vectors = embed.standardize([embed.text_vector(provider.ids(embed.tokenize(t).tokens),
+                                                   provider.table) for t in texts])
+    rng = np.random.default_rng(5)
+    others = [draw_other(rng, 4, i) for i in range(4)]
+    # Exact: each distance is the norm of one pair's difference.
+    assert study["original"]["distances"] == [
+        float(np.linalg.norm(vectors[i] - vectors[4 + i])) for i in range(4)]
+    assert study["random"]["distances"] == [
+        float(np.linalg.norm(vectors[i] - vectors[4 + j])) for i, j in enumerate(others)]
+    assert study["original"]["median"] == float(np.median(study["original"]["distances"]))
 
 
 @given(st.integers(2, 40).flatmap(lambda count: st.tuples(st.just(count),
