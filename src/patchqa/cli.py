@@ -10,6 +10,7 @@ iff no stage errored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -21,21 +22,41 @@ from .diffsum import describe_diff
 from .pipeline import EmbeddingSpec, PipelineError, RunConfig
 
 
-def _add_embedding_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--embeddings", help="path to a token vector file")
-    sp.add_argument("--hash-seed", type=int,
-                    help="seed for hashed token vectors (default 0)")
-    sp.add_argument("--hash-dim", type=int,
-                    help="dimension of hashed token vectors (default 32)")
+# Each option that sets a config field, declared once: flag -> (config class,
+# field, help). The field's default sets the option's type (int or float, else
+# a string) and, where it is not None, ends the help as "(default N)".
+_SETTINGS = {
+    "--embeddings": (EmbeddingSpec, "path", "path to a token vector file"),
+    "--hash-seed": (EmbeddingSpec, "seed", "seed for hashed token vectors"),
+    "--hash-dim": (EmbeddingSpec, "dim", "dimension of hashed token vectors"),
+    "--epochs": (qa_model.ModelConfig, "epochs", "training epochs"),
+    "--lr": (qa_model.ModelConfig, "learning_rate", "learning rate"),
+    "--hidden": (qa_model.ModelConfig, "hidden_size", "hidden size per direction"),
+    "--max-len": (qa_model.ModelConfig, "max_seq_len", "max sequence length"),
+    "--batch": (qa_model.ModelConfig, "batch_size", "batch size"),
+    "--model-seed": (qa_model.ModelConfig, "seed", "model init/shuffle seed"),
+    "--k": (RunConfig, "k", "number of groups"),
+    "--fold-seed": (RunConfig, "fold_seed", "fold assignment seed"),
+    "--pair-seed": (RunConfig, "pair_seed", "mismatch pairing seed"),
+    "--threshold": (RunConfig, "threshold", "operating threshold for per-fold metrics"),
+    "--thresholds": (RunConfig, "thresholds", "comma-separated sweep thresholds"),
+}
+_EMBEDDING = ("--embeddings", "--hash-seed", "--hash-dim")
+_MODEL = ("--epochs", "--lr", "--hidden", "--max-len", "--batch", "--model-seed")
 
 
-def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    sp.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    sp.add_argument("--hidden", type=int, help="hidden size per direction (default 16)")
-    sp.add_argument("--max-len", type=int, help="max sequence length (default 64)")
-    sp.add_argument("--batch", type=int, help="batch size (default 128)")
-    sp.add_argument("--model-seed", type=int, help="model init/shuffle seed (default 0)")
+def _add_settings(sp: argparse.ArgumentParser, *options) -> None:
+    """Add options of ``_SETTINGS``, each a flag or a (flag, help) pair whose
+    help this subcommand shows instead of the declared one (None: no help)."""
+    for option in options:
+        flag, text = option if isinstance(option, tuple) else (option, _SETTINGS[option][2])
+        owner, name, _ = _SETTINGS[flag]
+        default = getattr(owner, name)
+        if text and default is not None:
+            shown = f"{default[0]}..{default[-1]}" if isinstance(default, tuple) else default
+            text += f" (default {shown})"
+        sp.add_argument(flag, help=text,
+                        type=type(default) if isinstance(default, (int, float)) else None)
 
 
 @functools.cache
@@ -58,23 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("crossval", help="grouped k-fold cross-validation")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--k", type=int, help="number of groups (default 10)")
-    sp.add_argument("--fold-seed", type=int, help="fold assignment seed (default 0)")
-    sp.add_argument("--pair-seed", type=int, help="mismatch pairing seed (default 0)")
-    sp.add_argument("--threshold", type=float,
-                    help="operating threshold for per-fold metrics (default 0.5)")
-    sp.add_argument("--thresholds",
-                    help="comma-separated sweep thresholds (default 0.1..0.9)")
-    _add_embedding_flags(sp)
-    _add_model_flags(sp)
+    _add_settings(sp, "--k", "--fold-seed", "--pair-seed", "--threshold", "--thresholds",
+                  *_EMBEDDING, *_MODEL)
     sp.set_defaults(func=cmd_crossval)
 
     sp = sub.add_parser("train", help="train one model on every labeled example")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--model-out", required=True, help="checkpoint path to write")
-    sp.add_argument("--pair-seed", type=int)
-    _add_embedding_flags(sp)
-    _add_model_flags(sp)
+    _add_settings(sp, ("--pair-seed", None), *_EMBEDDING, *_MODEL)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("predict", help="score one bug/patch pair with a checkpoint")
@@ -84,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--description", help="patch description text")
     sp.add_argument("--diff-file", help="unified diff file; summarized when no "
                                         "description is given")
-    sp.add_argument("--threshold", type=float,
-                    help="decision threshold (default 0.5)")
-    _add_embedding_flags(sp)
+    _add_settings(sp, ("--threshold", "decision threshold"), *_EMBEDDING)
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("evaluate", help="score a dataset with a checkpoint and "
@@ -94,70 +104,55 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--pair-seed", type=int)
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--thresholds")
-    _add_embedding_flags(sp)
+    _add_settings(sp, ("--pair-seed", None), ("--threshold", None), ("--thresholds", None),
+                  *_EMBEDDING)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("hypothesis", help="matched vs random pair distance study")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--pair-seed", type=int, help="random re-pairing seed (default 0)")
+    _add_settings(sp, ("--pair-seed", "random re-pairing seed"))
     sp.add_argument("--out", help="also write the study JSON here")
-    _add_embedding_flags(sp)
+    _add_settings(sp, *_EMBEDDING)
     sp.set_defaults(func=cmd_hypothesis)
 
     return parser
 
 
-def _option(args, name: str, default):
-    """Flag value if given, else the config-file value, else the default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return getattr(args, "_config_values", {}).get(name, default)
+def _thresholds(raw) -> tuple[float, ...]:
+    """A sweep from a config-file list or a comma-separated flag value."""
+    parts = raw if isinstance(raw, list) else [t for t in raw.split(",") if t.strip()]
+    return tuple(float(t) for t in parts)
+
+
+def _given(args, cls) -> dict:
+    """The fields of ``cls`` set by options of the running subcommand, each
+    from its flag, else from the config file."""
+    given = {}
+    for flag, (owner, name, _) in _SETTINGS.items():
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest, None)
+        if value is None:
+            value = getattr(args, "_config_values", {}).get(dest)
+        if owner is not cls or value is None:
+            continue
+        if name == "thresholds":
+            value = _thresholds(value)
+        if value != "":  # an empty --embeddings counts as not given
+            given[name] = value
+    return given
 
 
 def _embedding_spec(args, saved=None) -> EmbeddingSpec:
-    """Each field from its flag, else the config file, else ``saved`` (the
-    embedding object a checkpoint records, if any), else the default."""
+    """The given embedding options over ``saved`` (the embedding object a
+    checkpoint records, if any), else over the defaults."""
     base = EmbeddingSpec() if saved is None else EmbeddingSpec.from_dict(saved)
-    return EmbeddingSpec(path=_option(args, "embeddings", None) or base.path,
-                         dim=_option(args, "hash_dim", base.dim),
-                         seed=_option(args, "hash_seed", base.seed))
-
-
-def _model_config(args) -> qa_model.ModelConfig:
-    return qa_model.ModelConfig(
-        max_seq_len=_option(args, "max_len", 64),
-        hidden_size=_option(args, "hidden", 16),
-        learning_rate=_option(args, "lr", 0.01),
-        epochs=_option(args, "epochs", 10),
-        batch_size=_option(args, "batch", 128),
-        seed=_option(args, "model_seed", 0),
-    )
-
-
-def _sweep_thresholds(args) -> tuple[float, ...]:
-    raw = _option(args, "thresholds", None)
-    if raw is None:
-        return pipeline.DEFAULT_SWEEP
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(t) for t in raw)
-    return tuple(float(t) for t in str(raw).split(",") if t.strip())
+    return dataclasses.replace(base, **_given(args, EmbeddingSpec))
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
-        dataset=args.dataset,
-        embedding=_embedding_spec(args),
-        model=_model_config(args),
-        k=_option(args, "k", 10),
-        fold_seed=_option(args, "fold_seed", 0),
-        pair_seed=_option(args, "pair_seed", 0),
-        threshold=_option(args, "threshold", 0.5),
-        thresholds=_sweep_thresholds(args),
-    )
+    return RunConfig(dataset=args.dataset, embedding=_embedding_spec(args),
+                     model=qa_model.ModelConfig(**_given(args, qa_model.ModelConfig)),
+                     **_given(args, RunConfig))
 
 
 def _emit(obj, out=None) -> None:
@@ -220,7 +215,7 @@ def cmd_predict(args) -> int:
         description = describe_diff(Path(args.diff_file).read_text(encoding="utf-8"))
     else:
         raise ValueError("predict needs --description or --diff-file")
-    threshold = _option(args, "threshold", 0.5)
+    threshold = _given(args, RunConfig).get("threshold", RunConfig.threshold)
     example = pipeline.vectorize(bug_text, description, 0, provider,
                                  model.config.max_seq_len)
     result = qa_model.predict(model, example, provider.table, threshold)
@@ -244,10 +239,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hypothesis(args) -> int:
     ds, _ = pipeline.load_deduped(args.dataset)
-    spec = _embedding_spec(args)
-    provider = spec.build()
-    report = pipeline.run_hypothesis(ds, provider, _option(args, "pair_seed", 0))
-    report["embedding"] = spec.describe()
+    config = _run_config(args)
+    report = pipeline.run_hypothesis(ds, config.embedding.build(), config.pair_seed)
+    report["embedding"] = config.embedding.describe()
     _emit(report, args.out)
     return 0
 
@@ -262,9 +256,9 @@ def _option_types() -> dict[str, dict]:
             for name, sp in commands.choices.items()}
 
 
-# Options read only from their flags: a config value for one would be ignored.
-_FLAG_ONLY = {"dataset", "out", "model", "model_out", "bug_text", "bug_file",
-              "description", "diff_file"}
+# Config-file keys: the settings. Every other option (an input or output path
+# or text) is read only from its flag, so a config value for one is an error.
+_CONFIG_KEYS = {flag[2:].replace("-", "_") for flag in _SETTINGS}
 
 # JSON types a config value may take, by the argparse type of its option.
 _CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
@@ -285,11 +279,11 @@ def _one_key_per_option(pairs) -> dict:
 
 
 def _config_values(path, command: str) -> dict:
-    """Config-file values keyed by option name. Every key must name an option
-    of some subcommand, so one file may serve several, and none may name an
-    input or output path or text (``_FLAG_ONLY``). A value for an option
-    of ``command`` must have that option's type; JSON true is no number, and
-    ``thresholds`` may also be a list of numbers."""
+    """The config-file values of ``command``'s options, keyed by option name.
+    Every key must name an option of some subcommand, so one file may serve
+    several, and must be one of ``_CONFIG_KEYS``; the keys of other
+    subcommands' options are dropped. A value must have its option's type;
+    JSON true is no number, and ``thresholds`` may also be a list of numbers."""
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"),
                             object_pairs_hook=_one_key_per_option)
@@ -297,16 +291,15 @@ def _config_values(path, command: str) -> dict:
         raise ValueError(f"config: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError("config: expected a JSON object")
-    out = {key.replace("-", "_"): value for key, value in values.items()}
     known = {dest for types in _option_types().values() for dest in types}
     option_types = _option_types()[command]
-    for key in values:
+    out = {}
+    for key, value in values.items():
         name = key.replace("-", "_")
         if name not in known:
             raise ValueError(f"config: unknown option {key!r}")
-        if name in _FLAG_ONLY:
+        if name not in _CONFIG_KEYS:
             raise ValueError(f"config: {key!r} may only be given as a flag")
-    for name, value in out.items():
         if name not in option_types:
             continue
         (accepted, expected), items = _CONFIG_TYPES[option_types[name]], [value]
@@ -314,6 +307,7 @@ def _config_values(path, command: str) -> dict:
             accepted, expected, items = (int, float), "a list of numbers", value
         if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
             raise ValueError(f"config: {name} must be {expected}, not {json.dumps(value)}")
+        out[name] = value
     return out
 
 

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ConfusionMatrix",
     "MwwResult",
-    "ThresholdSweep",
     "auc",
     "check_thresholds",
     "confusion_at",
@@ -117,15 +116,6 @@ def mww_test(sample_a, sample_b) -> MwwResult:
     return MwwResult(u_statistic=u_stat, p_value=p_value)
 
 
-@dataclass(frozen=True)
-class ThresholdSweep:
-    """One row per threshold: the threshold, the confusion counts and the
-    recalls and F1 (None where undefined); plus the AUC (None if undefined)."""
-
-    rows: list[dict]
-    auc: float | None
-
-
 def check_thresholds(thresholds) -> tuple[float, ...]:
     """The thresholds as floats, if each lies in [0, 1] in ascending order."""
     ts = tuple(float(t) for t in thresholds)
@@ -136,8 +126,9 @@ def check_thresholds(thresholds) -> tuple[float, ...]:
     return ts
 
 
-def threshold_sweep(scores, labels, thresholds) -> ThresholdSweep:
-    """Confusion counts and recalls per threshold, plus the global AUC.
+def threshold_sweep(scores, labels, thresholds) -> list[dict]:
+    """One row per threshold: the threshold, the confusion counts and the
+    recalls and F1 (None where undefined).
 
     +Recall is non-increasing and -Recall non-decreasing in the threshold.
     """
@@ -147,4 +138,4 @@ def threshold_sweep(scores, labels, thresholds) -> ThresholdSweep:
         rows.append({"threshold": t, "tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn,
                      "plus_recall": plus_recall(cm), "minus_recall": minus_recall(cm),
                      "f1": f1(cm)})
-    return ThresholdSweep(rows=rows, auc=auc(scores, labels))
+    return rows

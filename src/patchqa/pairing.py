@@ -42,7 +42,8 @@ _POSITIVE_KINDS = frozenset({ExampleKind.DEV_POSITIVE, ExampleKind.APR_POSITIVE}
 
 @dataclass(frozen=True)
 class QaExample:
-    """One (bug report text, patch description text, label) unit.
+    """One (bug report text, patch description text, kind) unit; the kind
+    sets the label.
 
     For random mismatches, bug_id names the mismatched bug providing the
     report text and patch_id is synthetic.
@@ -52,13 +53,12 @@ class QaExample:
     patch_id: str
     bug_text: str
     description_text: str
-    label: int
     kind: ExampleKind
 
-    def __post_init__(self):
-        expected = 1 if self.kind in _POSITIVE_KINDS else 0
-        if self.label != expected:
-            raise ValueError(f"label {self.label} inconsistent with kind {self.kind.value}")
+    @property
+    def label(self) -> int:
+        """1 for a positive kind, else 0."""
+        return 1 if self.kind in _POSITIVE_KINDS else 0
 
 
 def resolve_description(dataset: Dataset, patch: PatchRecord) -> str | None:
@@ -112,9 +112,9 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
                 )
             kind = (ExampleKind.DEV_POSITIVE if patch.origin.is_developer
                     else ExampleKind.APR_POSITIVE)
-            positives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 1, kind))
+            positives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, kind))
         elif patch.label is Label.INCORRECT:
-            negatives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, 0,
+            negatives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text,
                                        ExampleKind.APR_NEGATIVE))
         if patch.origin.is_developer:
             developer.append((patch, text))
@@ -131,7 +131,6 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
             patch_id=f"mismatch:{patch.patch_id}:{wrong}",
             bug_text=dataset.bugs[wrong].text,
             description_text=text,
-            label=0,
             kind=ExampleKind.RANDOM_MISMATCH,
         ))
     return examples

@@ -73,7 +73,7 @@ class EmbeddingSpec:
         """The spec ``describe`` wrote; ValueError for any other value."""
         if not isinstance(obj, dict):
             raise ValueError(f"embedding spec must be an object, not {obj!r}")
-        spec = cls(dim=obj.get("dim", 32), seed=obj.get("seed", 0), path=obj.get("path"))
+        spec = cls(**{name: obj[name] for name in ("dim", "seed", "path") if name in obj})
         for name, value in (("dim", spec.dim), ("seed", spec.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"embedding {name} must be an integer, not {value!r}")
@@ -118,10 +118,12 @@ def load_deduped(path) -> tuple[corpus.Dataset, int]:
     return deduped, len(ds.patches) - len(deduped.patches)
 
 
-def _check_thresholds(config: RunConfig) -> None:
-    """Reject a bad operating threshold or sweep before any work is done."""
+def _check_settings(config: RunConfig) -> None:
+    """Reject a bad operating threshold, sweep or model setting before any
+    work is done."""
     _stage("evaluation", metrics.check_thresholds, (config.threshold,))
     _stage("evaluation", metrics.check_thresholds, config.thresholds)
+    config.model.validate()
 
 
 def _load_examples(dataset, pair_seed: int) -> tuple[list[pairing.QaExample], int]:
@@ -216,8 +218,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     threshold with the fold's loss per epoch, their mean, a pooled threshold
     sweep and pooled statistics.
     """
-    _check_thresholds(config)
-    config.model.validate()
+    _check_settings(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
@@ -232,16 +233,16 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         train_examples, test_examples = pairing.fold_split(examples, plan, group)
         train_batch = [vectors[ex] for ex in train_examples]
         fold_model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
-        _, history = _stage(f"training fold {group}", qa_model.train,
-                            fold_model, train_batch, table)
+        history = _stage(f"training fold {group}", qa_model.train,
+                         fold_model, train_batch, table)
         scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples], table)
-        sweep = metrics.threshold_sweep(scores, _labels(test_examples), (config.threshold,))
-        at = sweep.rows[0]
+        labels = _labels(test_examples)
+        at = metrics.threshold_sweep(scores, labels, (config.threshold,))[0]
         per_fold.append({
             "fold": group,
             "train_examples": len(train_batch),
             "test_examples": len(test_examples),
-            "auc": sweep.auc,
+            "auc": metrics.auc(scores, labels),
             "f1": at["f1"],
             "plus_recall": at["plus_recall"],
             "minus_recall": at["minus_recall"],
@@ -249,16 +250,15 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         })
         folds.append(FoldOutcome(group, fold_model, test_examples, scores))
     pooled = [ex for fold in folds for ex in fold.test_examples]
-    scores = np.concatenate([fold.scores for fold in folds])
-    sweep = metrics.threshold_sweep(scores, _labels(pooled), config.thresholds)
+    scores, labels = np.concatenate([fold.scores for fold in folds]), _labels(pooled)
     positives = sum(1 for ex in examples if ex.label == 1)
     report = {
         "config": config.describe(),
         "per_fold": per_fold,
         "mean": _mean_over_folds(per_fold),
-        "sweep": sweep.rows,
+        "sweep": metrics.threshold_sweep(scores, labels, config.thresholds),
         "statistics": {
-            "pooled_auc": sweep.auc,
+            "pooled_auc": metrics.auc(scores, labels),
             "examples": len(examples),
             "positives": positives,
             "negatives": len(examples) - positives,
@@ -283,31 +283,24 @@ def write_scores_csv(rows, path) -> None:
             writer.writerow([patch_id, bug_id, label, format(score_value, ".17g")])
 
 
-def write_crossval_outputs(result: CrossvalResult, out_dir) -> dict[str, Path]:
+def write_crossval_outputs(result: CrossvalResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": out / "report.json",
-        "scores": out / "scores.csv",
-        "foldplan": out / "foldplan.json",
-    }
-    write_json(result.report, paths["report"])
-    write_scores_csv(result.score_rows, paths["scores"])
-    paths["foldplan"].write_text(result.plan.to_json(), encoding="utf-8")
+    write_json(result.report, out / "report.json")
+    write_scores_csv(result.score_rows, out / "scores.csv")
+    (out / "foldplan.json").write_text(result.plan.to_json(), encoding="utf-8")
     for fold in result.folds:
-        ckpt = out / f"model_fold{fold.fold}.ckpt"
-        qa_model.save_model(fold.model, ckpt)
-        paths[f"model_fold{fold.fold}"] = ckpt
-    return paths
+        qa_model.save_model(fold.model, out / f"model_fold{fold.fold}.ckpt")
 
 
 def run_train(config: RunConfig):
     """Train one model on every labeled example; returns (model, info), where
     info holds the example counts and the loss per epoch."""
+    _check_settings(config)
     examples, _ = _load_examples(config.dataset, config.pair_seed)
     batch, table, metadata = _embed_examples(config, examples)
     model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
-    _, history = _stage("training", qa_model.train, model, batch, table)
+    history = _stage("training", qa_model.train, model, batch, table)
     info = {
         "examples": len(examples),
         "positives": sum(1 for ex in examples if ex.label == 1),
@@ -322,11 +315,10 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     returns the report (metrics at the threshold, the sweep, statistics) and
     the score rows (patch_id, bug_id, label, score). Only the dataset, pair
     seed and thresholds of ``config`` apply."""
-    _check_thresholds(config)
+    _check_settings(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     scores, labels = score_examples(model, examples, provider), _labels(examples)
-    sweep = metrics.threshold_sweep(scores, labels, config.thresholds)
-    at_threshold = metrics.threshold_sweep(scores, labels, (config.threshold,)).rows[0]
+    at_threshold = metrics.threshold_sweep(scores, labels, (config.threshold,))[0]
     del at_threshold["threshold"]
     report = {
         "config": {
@@ -336,9 +328,9 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
             "threshold": config.threshold,
         },
         "at_threshold": at_threshold,
-        "sweep": sweep.rows,
+        "sweep": metrics.threshold_sweep(scores, labels, config.thresholds),
         "statistics": {
-            "auc": sweep.auc,
+            "auc": metrics.auc(scores, labels),
             "examples": len(examples),
             "duplicates_removed": removed,
         },

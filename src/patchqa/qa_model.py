@@ -407,8 +407,8 @@ class Adam:
 
 
 def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
-    """Adam-train in place on examples indexing ``table``; returns the model
-    and per-epoch mean loss.
+    """Adam-train in place on examples indexing ``table``; returns the
+    per-epoch mean loss.
 
     Deterministic given the config seed: the per-epoch shuffles come from one
     seeded generator, batches run in order and gradients accumulate in fixed
@@ -439,7 +439,7 @@ def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
             optimizer.step(model.params, grads)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / count)
-    return model, history
+    return history
 
 
 def predict(model: QaModel, example: BatchExample, table: np.ndarray,

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from patchqa import pipeline, qa_model, synth
+from patchqa import metrics, pipeline, qa_model, synth
 from patchqa.cli import main
 from patchqa.corpus import load_dataset
 
@@ -120,20 +120,32 @@ def test_crossval_k_larger_than_bug_count_fails(small_corpus, tmp_path, capsys):
     assert "exceeds" in err
 
 
-@pytest.mark.parametrize("flags, message", [
-    pytest.param(["--lr", "inf"], "error: learning_rate must be a positive finite",
-                 id="lr-inf"),
-    pytest.param(["--k", "1"], "error: fold planning: k must be at least 2", id="k-1"),
-    pytest.param(["--thresholds", "0.6,0.4"],
+BAD_MODEL_SETTINGS = [  # (id, flags, the error line crossval gives)
+    ("max-len-0", ["--max-len", "0"], "error: max_seq_len must be a positive integer"),
+    ("epochs-0", ["--epochs", "0"], "error: epochs must be a positive integer"),
+    ("lr-inf", ["--lr", "inf"], "error: learning_rate must be a positive finite"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    *(pytest.param("crossval", flags, message, id=case)
+      for case, flags, message in BAD_MODEL_SETTINGS),
+    pytest.param("crossval", ["--k", "1"], "error: fold planning: k must be at least 2",
+                 id="k-1"),
+    pytest.param("crossval", ["--thresholds", "0.6,0.4"],
                  "error: evaluation: thresholds must be sorted ascending", id="unsorted"),
-    pytest.param(["--threshold", "7"], "error: evaluation: thresholds must lie in [0, 1]",
-                 id="threshold-7"),
+    pytest.param("crossval", ["--threshold", "7"],
+                 "error: evaluation: thresholds must lie in [0, 1]", id="threshold-7"),
+    *(pytest.param("train", flags, message, id=f"train-{case}")
+      for case, flags, message in BAD_MODEL_SETTINGS),
 ])
 def test_crossval_rejects_bad_settings_before_training(small_corpus, tmp_path, capsys,
-                                                       flags, message):
-    code, out, err = run_cli(capsys, [
-        "crossval", "--dataset", small_corpus, "--out", tmp_path / "x", *FAST_MODEL, *flags,
-    ])
+                                                       command, flags, message):
+    if command == "crossval":
+        argv = ["crossval", "--dataset", small_corpus, "--out", tmp_path / "x", *FAST_MODEL]
+    else:  # no dataset file: train must report the setting before it reads one
+        argv = ["train", "--dataset", tmp_path / "missing.jsonl", "--model-out", tmp_path / "x"]
+    code, out, err = run_cli(capsys, [*argv, *flags])
     assert code == 1
     # The one stderr line is the error: no "fold 1/k" line precedes it.
     assert err.startswith(message) and err.count("\n") == 1
@@ -264,6 +276,17 @@ def test_evaluate_writes_null_for_undefined_metrics(tmp_path, capsys):
     assert report["statistics"]["examples"] == 1
     assert report["statistics"]["auc"] is None
     assert report["at_threshold"]["minus_recall"] is None
+
+
+def test_evaluate_computes_its_auc_once(trained_checkpoint, small_corpus, tmp_path, capsys,
+                                       monkeypatch):
+    calls = []
+    real_auc = metrics.auc
+    monkeypatch.setattr(metrics, "auc", lambda *args: calls.append(args) or real_auc(*args))
+    code, _, err = run_cli(capsys, ["evaluate", "--model", trained_checkpoint,
+                                    "--dataset", small_corpus, "--out", tmp_path / "eval"])
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -470,6 +493,22 @@ def test_config_key_no_subcommand_knows_fails_cleanly(
     # keys of another subcommand stay accepted, so one file serves both
     saved = predict_score(capsys, trained_checkpoint)
     shared = write_config(tmp_path, {"epochs": 1, "k": 3, "fold-seed": 2})
+    assert predict_score(capsys, trained_checkpoint, config=shared) == saved
+
+
+def test_shared_config_keys_of_other_subcommands_change_nothing(
+        trained_checkpoint, small_corpus, tmp_path, capsys):
+    # Bad settings for crossval, but evaluate and predict have neither option.
+    shared = write_config(tmp_path, {"epochs": 0, "k": 1})
+    outputs = []
+    for name, prefix in (("plain", []), ("shared", ["--config", shared])):
+        code, out, err = run_cli(capsys, [*prefix, "evaluate", "--model", trained_checkpoint,
+                                          "--dataset", small_corpus, "--out", tmp_path / name])
+        assert code == 0, err
+        outputs.append([out, *((tmp_path / name / file).read_bytes()
+                               for file in ("report.json", "scores.csv"))])
+    assert outputs[0] == outputs[1]
+    saved = predict_score(capsys, trained_checkpoint)
     assert predict_score(capsys, trained_checkpoint, config=shared) == saved
 
 

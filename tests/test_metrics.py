@@ -218,10 +218,10 @@ def test_mww_agrees_with_scipy(tied):
 
 
 def test_sweep_single_threshold():
-    sweep = threshold_sweep([0.7, 0.3], [1, 0], [0.5])
-    assert len(sweep.rows) == 1
-    assert [sweep.rows[0][k] for k in ("tp", "tn", "fp", "fn")] == [1, 1, 0, 0]
-    assert sweep.auc == 1.0
+    rows = threshold_sweep([0.7, 0.3], [1, 0], [0.5])
+    assert len(rows) == 1
+    assert [rows[0][k] for k in ("tp", "tn", "fp", "fn")] == [1, 1, 0, 0]
+    assert auc([0.7, 0.3], [1, 0]) == 1.0
 
 
 def test_sweep_requires_sorted_thresholds():
@@ -242,9 +242,9 @@ def test_sweep_low_threshold_row_on_banded_scores():
     scored = [(float(rng.uniform(0.2690, 0.7310)), int(rng.integers(0, 2)))
               for _ in range(50)]
     scored += [(0.5, 1), (0.5, 0)]
-    sweep = threshold_sweep(*split(scored), [0.1])
-    assert sweep.rows[0]["plus_recall"] == 1.0
-    assert sweep.rows[0]["minus_recall"] == 0.0
+    rows = threshold_sweep(*split(scored), [0.1])
+    assert rows[0]["plus_recall"] == 1.0
+    assert rows[0]["minus_recall"] == 0.0
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -252,15 +252,15 @@ def test_sweep_low_threshold_row_on_banded_scores():
                 min_size=1, max_size=40))
 def test_sweep_recall_monotonicity(scored):
     thresholds = [0.1, 0.3, 0.5, 0.7, 0.9]
-    sweep = threshold_sweep(*split(scored), thresholds)
-    plus = [r["plus_recall"] for r in sweep.rows if r["plus_recall"] is not None]
-    minus = [r["minus_recall"] for r in sweep.rows if r["minus_recall"] is not None]
+    rows = threshold_sweep(*split(scored), thresholds)
+    plus = [r["plus_recall"] for r in rows if r["plus_recall"] is not None]
+    minus = [r["minus_recall"] for r in rows if r["minus_recall"] is not None]
     assert all(a >= b - 1e-12 for a, b in zip(plus, plus[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(minus, minus[1:]))
 
 
 def test_sweep_rows_shape():
-    rows = threshold_sweep([0.7, 0.3], [1, 0], [0.2, 0.5]).rows
+    rows = threshold_sweep([0.7, 0.3], [1, 0], [0.2, 0.5])
     assert [r["threshold"] for r in rows] == [0.2, 0.5]
     assert set(rows[0]) == {"threshold", "tp", "tn", "fp", "fn",
                             "plus_recall", "minus_recall", "f1"}

@@ -304,13 +304,6 @@ def test_draw_other_draws_uniformly_from_the_others(count_index, seed):
         assert drawn == others[reference.integers(count - 1)]
 
 
-def test_qa_example_label_kind_consistency():
-    with pytest.raises(ValueError, match="inconsistent"):
-        QaExample("B", "P", "text", "desc", 0, ExampleKind.DEV_POSITIVE)
-    with pytest.raises(ValueError, match="inconsistent"):
-        QaExample("B", "P", "text", "desc", 1, ExampleKind.APR_NEGATIVE)
-
-
 # --- fold planning --------------------------------------------------------------
 
 
@@ -362,8 +355,7 @@ def synthetic_examples(n_bugs=30, per_bug=2):
         for j in range(per_bug):
             examples.append(QaExample(
                 bug_id=f"B-{i}", patch_id=f"P-{i}-{j}", bug_text=f"bug {i}",
-                description_text=f"fix {i} {j}", label=1,
-                kind=ExampleKind.DEV_POSITIVE))
+                description_text=f"fix {i} {j}", kind=ExampleKind.DEV_POSITIVE))
     return examples
 
 

@@ -434,9 +434,9 @@ def small_training_setup(n_examples=6, seed=0):
 
 def test_training_is_deterministic():
     model_a, examples, table = small_training_setup()
-    _, history_a = train(model_a, examples, table)
+    history_a = train(model_a, examples, table)
     model_b, _, _ = small_training_setup()
-    _, history_b = train(model_b, examples, table)
+    history_b = train(model_b, examples, table)
     assert history_a == history_b
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
@@ -460,7 +460,7 @@ def test_training_single_positive_drives_score_up():
 
 def test_training_loss_decreases_on_separable_data():
     model, examples, table = small_training_setup(n_examples=8)
-    _, history = train(model, examples, table)
+    history = train(model, examples, table)
     assert history[-1] <= history[0]
 
 
@@ -470,7 +470,7 @@ def test_token_free_batch_scores_half_and_trains():
     empty = token_ids([], 5)
     examples = [BatchExample(bug=empty, description=empty, label=i % 2) for i in range(4)]
     assert score_many(model, examples, table).tolist() == [0.5] * 4
-    _, history = train(model, examples, table)
+    history = train(model, examples, table)
     assert history == [pytest.approx(math.log(2.0), abs=1e-12)] * 2
 
 
@@ -486,7 +486,7 @@ def test_one_token_texts_train(max_len):
     assert np.isfinite(batch_loss)
     # With one step the recurrent input is the zero initial state.
     assert np.all(grads["w_h"] == 0.0) and np.any(grads["w_x"] != 0.0)
-    _, history = train(model, examples, table)
+    history = train(model, examples, table)
     assert np.all(np.isfinite(history))
 
 
