@@ -27,18 +27,3 @@ if sys.platform.startswith("linux") and not _malloc_tuned:
         pass
 
 __version__ = "0.1.0"
-
-from .corpus import Dataset, dedup_patches, load_dataset, save_dataset
-from .qa_model import ModelConfig, QaModel, predict, score, train
-
-__all__ = [
-    "Dataset",
-    "ModelConfig",
-    "QaModel",
-    "dedup_patches",
-    "load_dataset",
-    "predict",
-    "save_dataset",
-    "score",
-    "train",
-]

@@ -228,7 +228,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     model = qa_model.load_model(args.model)
     provider = _predict_provider(args, model)
-    report, rows = pipeline.run_evaluate(_run_config(args), model, provider, args.model)
+    config = RunConfig(dataset=args.dataset, **_given(args, RunConfig))
+    report, rows = pipeline.run_evaluate(config, model, provider, args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_json(report, out / "report.json")

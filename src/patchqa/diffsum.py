@@ -16,9 +16,20 @@ __all__ = ["DiffHunk", "DiffParseError", "describe_diff", "parse_unified_diff", 
 _HUNK_HEADER = re.compile(r"^@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 _SNIPPET_TOKENS = 12
 
+# A hunk body line's first character -> (old lines it uses, new lines it uses,
+# the DiffHunk list that keeps its content). An empty line is context, and
+# "\ No newline at end of file" uses no line.
+_BODY_LINES = {
+    "-": (1, 0, "removed_lines"),
+    "+": (0, 1, "added_lines"),
+    " ": (1, 1, None),
+    "": (1, 1, None),
+    "\\": (0, 0, None),
+}
+
 
 class DiffParseError(ValueError):
-    """Raised for malformed unified diff text."""
+    """Raised for malformed unified diff text, and by ``summarize`` for no hunks."""
 
 
 @dataclass
@@ -49,62 +60,35 @@ def parse_unified_diff(diff: str) -> list[DiffHunk]:
     empty list.
     """
     hunks: list[DiffHunk] = []
-    lines = diff.split("\n")
+    lines = iter(diff.split("\n"))
     current_path = ""
-    i = 0
-    n = len(lines)
-    while i < n:
-        line = lines[i]
+    for line in lines:
         if line.startswith("+++"):
             current_path = _path_from_header(line)
-            i += 1
         elif line.startswith("@@"):
             match = _HUNK_HEADER.match(line)
             if match is None:
                 raise DiffParseError(f"malformed hunk header: {line!r}")
-            old_count = int(match.group(1)) if match.group(1) is not None else 1
-            new_count = int(match.group(2)) if match.group(2) is not None else 1
+            old_left, new_left = (int(n) if n is not None else 1 for n in match.groups())
             hunk = DiffHunk(file_path=current_path)
-            i += 1
-            old_left, new_left = old_count, new_count
             while old_left > 0 or new_left > 0:
-                if i >= n:
+                body = next(lines, None)
+                if body is None:
                     raise DiffParseError(
                         "hunk line counts inconsistent with header ranges: diff truncated"
                     )
-                body = lines[i]
-                if body.startswith("\\"):  # "\ No newline at end of file"
-                    i += 1
-                    continue
-                if body.startswith("-"):
-                    if old_left <= 0:
-                        raise DiffParseError(
-                            "hunk line counts inconsistent with header ranges"
-                        )
-                    hunk.removed_lines.append(body[1:])
-                    old_left -= 1
-                elif body.startswith("+"):
-                    if new_left <= 0:
-                        raise DiffParseError(
-                            "hunk line counts inconsistent with header ranges"
-                        )
-                    hunk.added_lines.append(body[1:])
-                    new_left -= 1
-                elif body.startswith(" ") or body == "":
-                    if old_left <= 0 or new_left <= 0:
-                        raise DiffParseError(
-                            "hunk line counts inconsistent with header ranges"
-                        )
-                    old_left -= 1
-                    new_left -= 1
-                else:
+                rule = _BODY_LINES.get(body[:1])
+                if rule is None:
                     raise DiffParseError(f"unexpected line inside hunk: {body!r}")
-                i += 1
+                old_used, new_used, kept = rule
+                old_left, new_left = old_left - old_used, new_left - new_used
+                if old_left < 0 or new_left < 0:
+                    raise DiffParseError("hunk line counts inconsistent with header ranges")
+                if kept:
+                    getattr(hunk, kept).append(body[1:])
             if not hunk.removed_lines and not hunk.added_lines:
                 raise DiffParseError("hunk contains no added or removed lines")
             hunks.append(hunk)
-        else:
-            i += 1
     return hunks
 
 
@@ -120,42 +104,29 @@ def summarize(hunks: list[DiffHunk]) -> str:
     """Render hunks as deterministic template text, one clause group per file.
 
     Template: ``removed <k> line(s) [<snippet>] added <m> line(s) [<snippet>]
-    in <file stem>`` per file, joined by ``"; "``. Snippets are the first
-    non-blank changed line per direction, truncated to 12 whitespace tokens.
-    Template words are lowercase; identifiers from the diff keep their case.
+    in <file stem>`` per file, in order of first appearance, joined by
+    ``"; "``. Each clause counts the file's removed or added lines across its
+    hunks, in hunk order; its snippet is the first non-blank one, truncated to
+    12 whitespace tokens. Template words are lowercase; identifiers from the
+    diff keep their case.
     """
     if not hunks:
-        raise ValueError("cannot summarize an empty hunk list")
-    order: list[str] = []
-    per_file: dict[str, dict] = {}
+        raise DiffParseError("cannot summarize an empty hunk list")
+    per_file: dict[str, tuple[list[str], list[str]]] = {}
     for hunk in hunks:
-        stats = per_file.get(hunk.file_path)
-        if stats is None:
-            stats = {"removed": 0, "added": 0, "removed_snippet": "", "added_snippet": ""}
-            per_file[hunk.file_path] = stats
-            order.append(hunk.file_path)
-        stats["removed"] += len(hunk.removed_lines)
-        stats["added"] += len(hunk.added_lines)
-        if not stats["removed_snippet"]:
-            stats["removed_snippet"] = _first_snippet(hunk.removed_lines)
-        if not stats["added_snippet"]:
-            stats["added_snippet"] = _first_snippet(hunk.added_lines)
+        removed, added = per_file.setdefault(hunk.file_path, ([], []))
+        removed += hunk.removed_lines
+        added += hunk.added_lines
     parts = []
-    for path in order:
-        stats = per_file[path]
-        clauses = []
-        if stats["removed"]:
-            clauses.append(f"removed {stats['removed']} line(s) [{stats['removed_snippet']}]")
-        if stats["added"]:
-            clauses.append(f"added {stats['added']} line(s) [{stats['added_snippet']}]")
-        stem = PurePosixPath(path).stem if path else ""
-        text = " ".join(clauses)
-        if stem:
-            text += f" in {stem}"
-        parts.append(text)
+    for path, (removed, added) in per_file.items():
+        clauses = [f"{verb} {len(changed)} line(s) [{_first_snippet(changed)}]"
+                   for verb, changed in (("removed", removed), ("added", added)) if changed]
+        stem = PurePosixPath(path).stem
+        parts.append(" ".join(clauses) + (f" in {stem}" if stem else ""))
     return "; ".join(parts)
 
 
 def describe_diff(diff: str) -> str:
-    """Parse and summarize in one step; raises if the diff has no hunks."""
+    """Parse and summarize in one step; DiffParseError for a malformed or
+    hunk-free diff."""
     return summarize(parse_unified_diff(diff))

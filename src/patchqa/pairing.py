@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import Dataset, Label, PatchRecord
-from .diffsum import DiffParseError, parse_unified_diff, summarize
+from .diffsum import DiffParseError, describe_diff
 
 __all__ = [
     "ExampleKind",
@@ -70,12 +70,9 @@ def resolve_description(dataset: Dataset, patch: PatchRecord) -> str | None:
     if desc is not None:
         return desc.text
     try:
-        hunks = parse_unified_diff(patch.diff)
+        return describe_diff(patch.diff)
     except DiffParseError:
         return None
-    if not hunks:
-        return None
-    return summarize(hunks)
 
 
 def draw_other(rng: np.random.Generator, count: int, index: int) -> int:

@@ -118,12 +118,10 @@ def load_deduped(path) -> tuple[corpus.Dataset, int]:
     return deduped, len(ds.patches) - len(deduped.patches)
 
 
-def _check_settings(config: RunConfig) -> None:
-    """Reject a bad operating threshold, sweep or model setting before any
-    work is done."""
+def _check_thresholds(config: RunConfig) -> None:
+    """Reject a bad operating threshold or sweep before any work is done."""
     _stage("evaluation", metrics.check_thresholds, (config.threshold,))
     _stage("evaluation", metrics.check_thresholds, config.thresholds)
-    config.model.validate()
 
 
 def _load_examples(dataset, pair_seed: int) -> tuple[list[pairing.QaExample], int]:
@@ -218,7 +216,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     threshold with the fold's loss per epoch, their mean, a pooled threshold
     sweep and pooled statistics.
     """
-    _check_settings(config)
+    _check_thresholds(config)
+    config.model.validate()
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
@@ -296,7 +295,7 @@ def write_crossval_outputs(result: CrossvalResult, out_dir) -> None:
 def run_train(config: RunConfig):
     """Train one model on every labeled example; returns (model, info), where
     info holds the example counts and the loss per epoch."""
-    _check_settings(config)
+    config.model.validate()
     examples, _ = _load_examples(config.dataset, config.pair_seed)
     batch, table, metadata = _embed_examples(config, examples)
     model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
@@ -315,7 +314,7 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     returns the report (metrics at the threshold, the sweep, statistics) and
     the score rows (patch_id, bug_id, label, score). Only the dataset, pair
     seed and thresholds of ``config`` apply."""
-    _check_settings(config)
+    _check_thresholds(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     scores, labels = score_examples(model, examples, provider), _labels(examples)
     at_threshold = metrics.threshold_sweep(scores, labels, (config.threshold,))[0]

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from patchqa.corpus import load_dataset
 from patchqa.diffsum import (
     DiffHunk,
     DiffParseError,
@@ -10,6 +11,9 @@ from patchqa.diffsum import (
     parse_unified_diff,
     summarize,
 )
+from patchqa.pairing import resolve_description
+
+from conftest import bug, patch, write_jsonl
 
 MINIMAL = (
     "--- a/src/Widget.java\n"
@@ -88,6 +92,38 @@ def test_pure_context_hunk_rejected():
         parse_unified_diff("--- a/F\n+++ b/F\n@@ -1,1 +1,1 @@\n same\n")
 
 
+OVER_COUNT = "hunk line counts inconsistent with header ranges"
+
+# Each hunk body line, as (header, body lines, expected): the hunk's
+# (removed_lines, added_lines), or the exact message of the DiffParseError.
+BODY_LINES = {
+    "minus": ("@@ -1,1 +0,0 @@", ["-gone"], (["gone"], [])),
+    "plus": ("@@ -0,0 +1,1 @@", ["+new"], ([], ["new"])),
+    "space": ("@@ -1,2 +1,1 @@", [" kept", "-gone"], (["gone"], [])),
+    "empty-is-context": ("@@ -1,2 +1,1 @@", ["", "-gone"], (["gone"], [])),
+    "no-newline": ("@@ -1,1 +1,1 @@", ["-x", "\\ No newline at end of file", "+y"],
+                   (["x"], ["y"])),
+    "minus-past-old": ("@@ -1,1 +1,2 @@", ["-a", "-b"], OVER_COUNT),
+    "plus-past-new": ("@@ -1,2 +1,1 @@", ["+a", "+b"], OVER_COUNT),
+    "context-past-old": ("@@ -1,1 +1,2 @@", ["-a", " c"], OVER_COUNT),
+    "context-past-new": ("@@ -1,2 +1,1 @@", ["+a", " c"], OVER_COUNT),
+    "unexpected": ("@@ -1,1 +1,1 @@", ["*junk"], "unexpected line inside hunk: '*junk'"),
+    "truncated": ("@@ -1,2 +1,2 @@", ["-a", "+b"], OVER_COUNT + ": diff truncated"),
+}
+
+
+@pytest.mark.parametrize("header, body, expected", BODY_LINES.values(), ids=BODY_LINES)
+def test_each_hunk_body_line(header, body, expected):
+    diff = "\n".join(["--- a/F", "+++ b/F", header, *body])  # no trailing empty line
+    if isinstance(expected, str):
+        with pytest.raises(DiffParseError) as info:
+            parse_unified_diff(diff)
+        assert str(info.value) == expected
+    else:
+        [hunk] = parse_unified_diff(diff)
+        assert (hunk.removed_lines, hunk.added_lines) == expected
+
+
 def test_git_noise_lines_skipped():
     diff = (
         "diff --git a/F.java b/F.java\n"
@@ -153,6 +189,29 @@ def test_multi_file_summary_joined_with_semicolon():
 def test_empty_hunk_list_rejected():
     with pytest.raises(ValueError, match="empty hunk list"):
         summarize([])
+
+
+@pytest.mark.parametrize("diff", ["", "--- a/F.java\n+++ b/F.java\n"],
+                         ids=["empty", "headers-only"])
+def test_describe_diff_of_a_hunk_free_diff_is_a_parse_error(diff):
+    with pytest.raises(DiffParseError, match="^cannot summarize an empty hunk list$"):
+        describe_diff(diff)
+
+
+def test_snippet_of_a_file_comes_from_a_later_hunk_when_earlier_lines_are_blank():
+    hunks = [DiffHunk("src/F.java", removed_lines=["", "   "], added_lines=["first add"]),
+             DiffHunk("src/F.java", removed_lines=["second  hunk line"], added_lines=["x"])]
+    assert summarize(hunks) == ("removed 3 line(s) [second hunk line] "
+                                "added 2 line(s) [first add] in F")
+
+
+@pytest.mark.parametrize("diff", ["--- a/F.java\n+++ b/F.java\n@@ -1,3 +1,1 @@\n-a\n",
+                                  "--- a/F.java\n+++ b/F.java\n"],
+                         ids=["malformed", "hunk-free"])
+def test_undescribed_patch_without_a_summary_resolves_to_none(tmp_path, diff):
+    ds = load_dataset(write_jsonl(tmp_path / "d.jsonl",
+                                  [bug("B-1"), patch("P-1", "B-1", diff=diff)]))
+    assert resolve_description(ds, ds.patches["P-1"]) is None
 
 
 _TEMPLATE_WORDS = {"removed", "added", "line", "s", "in"}

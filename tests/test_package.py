@@ -47,3 +47,20 @@ def test_every_public_method_has_a_caller():
                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                        and not node.name.startswith("_") and not counts[node.name]]
     assert unused == [], "public method, but nothing in src/, scripts/ or perfbench/ calls it"
+
+
+def test_every_import_is_read():
+    stale = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            stale += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in read]
+    assert stale == [], "imported, but never read in the importing module"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patchqa import embed, pairing, pipeline
+from patchqa import diffsum, embed, pairing, pipeline
 from patchqa.corpus import load_dataset
 from patchqa.embed import Embedding
 from patchqa.pairing import (
@@ -242,7 +242,7 @@ def test_hypothesis_resolves_only_each_bugs_first_developer_description(tmp_path
         return resolve_description(dataset, record)
 
     monkeypatch.setattr(pairing, "resolve_description", counting)
-    monkeypatch.setattr(pairing, "summarize", lambda hunks: summaries.append(hunks) or "x")
+    monkeypatch.setattr(diffsum, "summarize", lambda hunks: summaries.append(hunks) or "x")
     study = pipeline.run_hypothesis(ds, Embedding(8, seed=0), seed=0)
     assert study["pairs"] == 4
     assert calls == {"P-1": 1, "P-4": 1, "P-7": 1, "P-8": 1}
