@@ -240,9 +240,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hypothesis(args) -> int:
     ds, _ = pipeline.load_deduped(args.dataset)
-    config = _run_config(args)
-    report = pipeline.run_hypothesis(ds, config.embedding.build(), config.pair_seed)
-    report["embedding"] = config.embedding.describe()
+    spec = _embedding_spec(args)
+    pair_seed = _given(args, RunConfig).get("pair_seed", RunConfig.pair_seed)
+    report = pipeline.run_hypothesis(ds, spec.build(), pair_seed)
+    report["embedding"] = spec.describe()
     _emit(report, args.out)
     return 0
 

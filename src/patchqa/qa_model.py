@@ -19,13 +19,14 @@ only the rows that are still real there), the backward direction reads each
 row's real tokens reversed (as ``tf.reverse_sequence`` does), padded BiLSTM
 outputs are zero, and attention logits and the flattened vectors mask them
 out. Token ids are the only input: id 0 is padding and a row's real ids form
-a prefix, so masks and lengths are derived from the ids. Each training batch
-and each scoring chunk of ``batch_size`` examples is cut to its longest real
-row, and its real positions are gathered once from the run's embedding
-table. Only the BiLSTM weights are learned; the table is fixed, so
-back-propagation stops at the weight gradients. Training minimizes binary
-cross-entropy with Adam; all arithmetic is float64 numpy and deterministic
-under the config seed.
+a prefix, so masks and lengths are derived from the ids. In each training
+batch and each scoring chunk of ``batch_size`` examples, each side is cut to
+its own longest real row: the BiLSTM runs the stacked rows at the wider of
+the two, and attention is (batch, bug width, description width). The real
+positions are gathered once from the run's embedding table. Only the BiLSTM
+weights are learned; the table is fixed, so back-propagation stops at the
+weight gradients. Training minimizes binary cross-entropy with Adam; all
+arithmetic is float64 numpy and deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -292,28 +293,33 @@ class _ForwardCache:
 
 def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     # Real ids form a prefix, so a row's real length is its count of nonzero
-    # ids. Steps past the batch's longest real row are padding everywhere and
-    # are cut, so the BiLSTM output and attention span only the real width.
+    # ids. Each side is cut to its own longest real row (at least one step):
+    # the BiLSTM runs the stacked rows at the wider of the two, and attention
+    # and cosine see only each side's own width.
     batch = len(bug_ids)
     ids = np.concatenate([bug_ids, desc_ids])
     lengths = np.count_nonzero(ids, axis=1)
-    ids = ids[:, :max(1, int(lengths.max()))]
-    desc_mask = (ids[batch:] > 0).astype(np.float64)
+    width_b = max(1, int(lengths[:batch].max()))
+    width_c = max(1, int(lengths[batch:].max()))
+    ids = ids[:, :max(width_b, width_c)]
+    desc_mask = (ids[batch:, :width_c] > 0).astype(np.float64)
     # One BiLSTM pass over the bug rows and the description rows stacked.
     e, bilstm_cache = _bilstm_run(model, lengths, table, ids)
-    e_b, e_c = e[:batch], e[batch:]
+    e_b, e_c = e[:batch, :width_b], e[batch:, :width_c]
     logits = e_b @ e_c.transpose(0, 2, 1)
     # A finite stand-in for -inf keeps fully-masked columns NaN-free; the
     # zero-norm rule then forces those scores to 0.5 anyway.
-    logits = np.where(ids[:batch, :, None] > 0, logits, _MASKED_LOGIT)
+    logits = np.where(ids[:batch, :width_b, None] > 0, logits, _MASKED_LOGIT)
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
     alpha = weights / weights.sum(axis=1, keepdims=True)
     attended = alpha.transpose(0, 2, 1) @ e_b
     attended *= desc_mask[:, :, None]
-    # Padded positions of e_b are already exact zeros.
+    # Padded positions of e_b are already exact zeros, so the dot product
+    # needs only the positions both sides have.
     rb = e_b.reshape(batch, -1)
     rc = attended.reshape(batch, -1)
-    dot = (rb * rc).sum(axis=1)
+    shared = min(rb.shape[1], rc.shape[1])
+    dot = (rb[:, :shared] * rc[:, :shared]).sum(axis=1)
     norm_b = np.linalg.norm(rb, axis=1)
     norm_c = np.linalg.norm(rc, axis=1)
     denom = norm_b * norm_c
@@ -336,8 +342,14 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     safe = np.where(ok, denom, 1.0)
     nb3 = np.where(ok, cache.norm_b ** 3 * cache.norm_c, 1.0)
     nc3 = np.where(ok, cache.norm_c ** 3 * cache.norm_b, 1.0)
-    g_rb = g_cos[:, None] * (cache.rc / safe[:, None] - (cache.dot / nb3)[:, None] * cache.rb)
-    g_rc = g_cos[:, None] * (cache.rb / safe[:, None] - (cache.dot / nc3)[:, None] * cache.rc)
+    # Each side's own term at its own width; the cross term only over the
+    # positions both sides have.
+    g_rb = -(g_cos * cache.dot / nb3)[:, None] * cache.rb
+    g_rc = -(g_cos * cache.dot / nc3)[:, None] * cache.rc
+    shared = min(cache.rb.shape[1], cache.rc.shape[1])
+    cross = (g_cos / safe)[:, None]
+    g_rb[:, :shared] += cross * cache.rc[:, :shared]
+    g_rc[:, :shared] += cross * cache.rb[:, :shared]
     # Padded rows of g_e_b are left unmasked: _bilstm_back never reads them.
     g_att = g_rc.reshape(cache.e_c.shape) * cache.desc_mask[:, :, None]
     g_alpha = cache.e_b @ g_att.transpose(0, 2, 1)
@@ -345,8 +357,12 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     inner = (cache.alpha * g_alpha).sum(axis=1, keepdims=True)
     g_logits = cache.alpha * (g_alpha - inner)
     g_e_b += g_logits @ cache.e_c
-    g_e_c = g_logits.transpose(0, 2, 1) @ cache.e_b
-    return _bilstm_back(model, cache.bilstm_cache, np.concatenate([g_e_b, g_e_c]))
+    # Zero-pad both sides back to the BiLSTM's stacked (rows, steps, 2*hidden).
+    width_b, width_c = cache.e_b.shape[1], cache.e_c.shape[1]
+    g_e = np.zeros((2 * batch, max(width_b, width_c), cache.e_b.shape[2]))
+    g_e[:batch, :width_b] = g_e_b
+    g_e[batch:, :width_c] = g_logits.transpose(0, 2, 1) @ cache.e_b
+    return _bilstm_back(model, cache.bilstm_cache, g_e)
 
 
 def stack_examples(examples: list[BatchExample]):

@@ -285,14 +285,16 @@ def test_cosine_zero_norm_is_zero():
     assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
 
 
-def test_score_agrees_with_per_position_attention_ops():
-    """The batched score path must equal the composition of the public ops."""
+@pytest.mark.parametrize("n_bug, n_desc", [(4, 3), (2, 5), (4, 4)])
+def test_score_agrees_with_per_position_attention_ops(n_bug, n_desc):
+    """The batched score path must equal the composition of the public ops,
+    whichever side is longer."""
     rng = np.random.default_rng(10)
     model = make_model(dim=4, hidden=3, max_len=6)
     table = random_table(rng, 4)
-    ex = random_example(rng, model, n_bug=4, n_desc=3)
-    e_b = bilstm_forward(model, table[ex.bug.ids], 4)
-    e_c = bilstm_forward(model, table[ex.description.ids], 3)
+    ex = random_example(rng, model, n_bug=n_bug, n_desc=n_desc)
+    e_b = bilstm_forward(model, table[ex.bug.ids], n_bug)
+    e_c = bilstm_forward(model, table[ex.description.ids], n_desc)
     n = model.config.max_seq_len
     attended = np.zeros((n, 2 * model.config.hidden_size))
     for j in range(n):
@@ -303,6 +305,20 @@ def test_score_agrees_with_per_position_attention_ops():
     re_c = attended.ravel()
     expected = 1.0 / (1.0 + math.exp(-cosine_similarity(re_b, re_c)))
     assert score(model, ex, table) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_bugs, n_descs", [([2, 3], [5, 1]), ([5, 1], [2, 3])],
+                         ids=["description-wider", "bug-wider"])
+def test_attention_spans_each_sides_own_width(n_bugs, n_descs):
+    # Attention is cut to each side's longest real row, not to the wider one.
+    rng = np.random.default_rng(12)
+    model = make_model(dim=4, hidden=3, max_len=6)
+    table = random_table(rng, 4)
+    examples = [random_example(rng, model, n_bug=b, n_desc=d)
+                for b, d in zip(n_bugs, n_descs)]
+    bug_ids, desc_ids, _ = stack_examples(examples)
+    _, cache = qa_model._forward_batch(model, table, bug_ids, desc_ids)
+    assert cache.alpha.shape == (2, max(n_bugs), max(n_descs))
 
 
 # --- loss ---------------------------------------------------------------------
@@ -338,12 +354,17 @@ def test_gradients_match_central_finite_differences():
     rng = np.random.default_rng(42)
     dim, hidden, n = 4, 3, 5
     model = make_model(dim=dim, hidden=hidden, max_len=n, seed=7)
-    # Prefix masks and labels. The second case packs a zero-length bug row and
-    # ties the real lengths of rows on both sides (bug 1, descriptions 0 and 1).
+    # Prefix masks and labels. The first two cases have longer bug rows than
+    # description rows (Tb > Tc); the second packs a zero-length bug row and
+    # ties the real lengths of rows on both sides (bug 1, descriptions 0 and
+    # 1). In the third every description row is longer than every bug row
+    # (Tc > Tb), and in the fourth both sides' longest rows tie (Tb == Tc).
     cases = [
         ([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], [[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], [1.0, 0.0]),
         ([[0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
          [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [1.0, 0.0, 1.0]),
+        ([[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]], [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], [0.0, 1.0]),
+        ([[1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [[1, 0, 0, 0, 0], [1, 1, 1, 0, 0]], [1.0, 0.0]),
     ]
     for bug_mask, desc_mask, labels in cases:
         batch = len(labels)
