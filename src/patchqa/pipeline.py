@@ -386,7 +386,8 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
 
     For each fold, takes the label-1 test examples scoring at or above the
     threshold, swaps their bug report for a random different bug's report
-    drawn from the same fold's test data, and rescores with the fold model.
+    drawn from the same fold's test data, and rescores the fold's swapped
+    pairs with the fold model in one batch.
     """
     rng = np.random.default_rng(seed)
     before: list[float] = []
@@ -400,13 +401,15 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
         bug_ids = list(bug_texts)
         position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
         max_len = fold.model.config.max_seq_len
+        swapped = []
         for idx, ex in enumerate(fold.test_examples):
             if ex.label != 1 or fold.scores[idx] < threshold:
                 continue
             wrong = bug_ids[pairing.draw_other(rng, len(bug_ids), position[ex.bug_id])]
-            swapped = vectorize(bug_texts[wrong], ex.description_text, 1, provider, max_len)
+            swapped.append(vectorize(bug_texts[wrong], ex.description_text, 1, provider,
+                                     max_len))
             before.append(float(fold.scores[idx]))
-            after.append(qa_model.score(fold.model, swapped, provider.table))
+        after.extend(qa_model.score_many(fold.model, swapped, provider.table).tolist())
     if not before:
         raise ValueError("no recalled positives available to ablate")
     lost = sum(1 for value in after if value < threshold)

@@ -5,7 +5,9 @@ along a leading direction axis (index 0 forward, 1 backward), and the
 backward direction is the same recurrence over each row's real tokens
 reversed, so one time loop runs both directions at once. A batch's
 bug-report rows and description rows are stacked along the batch axis and
-take that one loop together. Every description position attends over the
+take that one loop together. A question meets many answers, so rows repeat:
+each distinct sequence of a batch runs once; copies share its states and sum
+their gradients. Every description position attends over the
 bug-report positions with dot-product softmax weights; the bug-report rows
 and the attended vectors are flattened and compared with cosine similarity
 squashed through a sigmoid:
@@ -246,11 +248,27 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
     }
 
 
+def _distinct_rows(ids: np.ndarray):
+    """The indices of the distinct rows of ``ids`` in order of first
+    occurrence, and for each row the position of its copy among them."""
+    rows = np.ascontiguousarray(ids)
+    # One opaque key per row, so np.unique compares whole rows at once.
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
     """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch;
     gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real steps, then
-    padding. Only the real steps run, and padded positions come out zero."""
-    rows, steps = ids.shape
+    padding. Only the real steps of each distinct row run, once however many
+    rows repeat it, and padded positions come out zero."""
+    steps = ids.shape[1]
+    keep, inverse = _distinct_rows(ids)
+    lengths = lengths[keep]
     # Pack, as ``pack_padded_sequence`` does: rows sorted longest first, so
     # the rows still running at step t are a prefix of step t-1's rows.
     order = np.argsort(-lengths, kind="stable")
@@ -261,18 +279,25 @@ def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.
     # forward, the row's real steps reversed backward (``tf.reverse_sequence``).
     where = row * steps + np.where(_DIRECTIONS, lengths[row] - 1 - t, t)
     sizes = live.sum(axis=1)
-    states, cache = _lstm_run(model.params, table[ids.ravel()[where]], sizes)
-    e = np.zeros((rows * steps, 2, states.shape[2]))
+    states, cache = _lstm_run(model.params, table[ids[keep].ravel()[where]], sizes)
+    e = np.zeros((len(keep) * steps, 2, states.shape[2]))
     e[where, _DIRECTIONS] = states
-    return e.reshape(rows, steps, -1), (cache, where, sizes)
+    # Copies of a row share its states.
+    return e.reshape(len(keep), steps, -1)[inverse], (cache, where, sizes, inverse)
 
 
 def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
     """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
     from the gradient of its (rows, steps, 2*hidden) output."""
-    lstm_cache, where, sizes = cache
+    lstm_cache, where, sizes, inverse = cache
     rows, steps, _ = g_e.shape
-    g_states = g_e.reshape(rows * steps, 2, -1)[where, _DIRECTIONS]
+    # BPTT is linear in the output gradient, so each distinct row runs it once
+    # on the sum of its copies' gradients, summed in row order by one matmul.
+    distinct = int(inverse.max()) + 1
+    copies = np.zeros((distinct, rows))
+    copies[inverse, np.arange(rows)] = 1.0
+    g_distinct = copies @ g_e.reshape(rows, -1)
+    g_states = g_distinct.reshape(distinct * steps, 2, -1)[where, _DIRECTIONS]
     return _lstm_back(model.params, lstm_cache, g_states, sizes)
 
 

@@ -88,28 +88,36 @@ def test_batched_bilstm_matches_per_step_reference():
     # Rows of mixed real lengths, zero-padded to one length, run as one batch;
     # each row's forward and backward halves must equal the plain per-step
     # recurrence over that row's real steps, the backward one reading them
-    # reversed, and every padded position must come out exactly zero.
+    # reversed, and every padded position must come out exactly zero. The
+    # last two rows are identical and must share bit-identical outputs.
     rng = np.random.default_rng(4)
     model = make_model(dim=5, hidden=3, max_len=7)
     n, hidden = model.config.max_seq_len, model.config.hidden_size
-    lengths = np.array([7, 1, 4, 0])
-    rows = np.zeros((4, n, model.input_dim))
-    for r, length in enumerate(lengths):
+    lengths = np.array([7, 1, 4, 0, 5, 5])
+    rows = np.zeros((len(lengths), n, model.input_dim))
+    for r, length in enumerate(lengths[:5]):
         rows[r, :length] = rng.normal(size=(length, model.input_dim))
-    # Every real position gets its own table row; padding is id 0.
-    table = np.vstack([np.zeros((1, model.input_dim)), rows.reshape(-1, model.input_dim)])
-    ids = np.where(np.arange(n) < lengths[:, None], np.arange(1, 4 * n + 1).reshape(4, n), 0)
-    e, (_, where, sizes) = qa_model._bilstm_run(model, lengths, table, ids)
+    rows[5] = rows[4]
+    # Every real position of the first five rows gets its own table row, and
+    # the last row reads the same ids as the one before it; padding is id 0.
+    table = np.vstack([np.zeros((1, model.input_dim)), rows[:5].reshape(-1, model.input_dim)])
+    positions = np.arange(1, 5 * n + 1).reshape(5, n)
+    ids = np.where(np.arange(n) < lengths[:, None], positions[[0, 1, 2, 3, 4, 4]], 0)
+    e, (_, where, sizes, inverse) = qa_model._bilstm_run(model, lengths, table, ids)
     for r, length in enumerate(lengths):
         expected = bilstm_reference(model.params, rows[r], length)
         assert np.all(np.abs(e[r, :, :hidden] - expected[:, :hidden]) <= 1e-12)
         assert np.all(np.abs(e[r, :, hidden:] - expected[:, hidden:]) <= 1e-12)
         assert np.all(e[r, length:] == 0.0)
-    # Packing: the running rows shrink step by step and cover the real steps;
-    # each real (row, step) is read once per direction, and no padding is.
+    assert np.array_equal(e[4], e[5])
+    # Packing runs the distinct rows, in order of first occurrence: the
+    # running rows shrink step by step and cover their real steps; each real
+    # (distinct row, step) is read once per direction, and no padding is.
+    assert inverse.tolist() == [0, 1, 2, 3, 4, 4]
+    distinct = lengths[:5]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    assert sum(sizes) == lengths.sum()
-    real = sorted(r * n + t for r, length in enumerate(lengths) for t in range(length))
+    assert sum(sizes) == distinct.sum()
+    real = sorted(r * n + t for r, length in enumerate(distinct) for t in range(length))
     assert sorted(where[0].tolist()) == real
     assert sorted(where[1].tolist()) == real
 
@@ -354,25 +362,9 @@ def test_gradients_match_central_finite_differences():
     rng = np.random.default_rng(42)
     dim, hidden, n = 4, 3, 5
     model = make_model(dim=dim, hidden=hidden, max_len=n, seed=7)
-    # Prefix masks and labels. The first two cases have longer bug rows than
-    # description rows (Tb > Tc); the second packs a zero-length bug row and
-    # ties the real lengths of rows on both sides (bug 1, descriptions 0 and
-    # 1). In the third every description row is longer than every bug row
-    # (Tc > Tb), and in the fourth both sides' longest rows tie (Tb == Tc).
-    cases = [
-        ([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], [[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], [1.0, 0.0]),
-        ([[0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
-         [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [1.0, 0.0, 1.0]),
-        ([[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]], [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], [0.0, 1.0]),
-        ([[1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [[1, 0, 0, 0, 0], [1, 1, 1, 0, 0]], [1.0, 0.0]),
-    ]
-    for bug_mask, desc_mask, labels in cases:
-        batch = len(labels)
+
+    def check(bug_ids, desc_ids, labels, table):
         labels = np.array(labels)
-        # Every real position reads its own random table row.
-        table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
-        positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
-        bug_ids, desc_ids = positions[0] * bug_mask, positions[1] * desc_mask
 
         def batch_loss():
             value, _ = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
@@ -393,20 +385,50 @@ def test_gradients_match_central_finite_differences():
                 param[ix] = original
                 numeric[ix] = (up - down) / (2 * h)
                 it.iternext()
-            assert relative_error(grads[name], numeric) < 1e-3, (batch, name)
+            assert relative_error(grads[name], numeric) < 1e-3, (len(labels), name)
+
+    # Prefix masks and labels. The first two cases have longer bug rows than
+    # description rows (Tb > Tc); the second packs a zero-length bug row and
+    # ties the real lengths of rows on both sides (bug 1, descriptions 0 and
+    # 1). In the third every description row is longer than every bug row
+    # (Tc > Tb), and in the fourth both sides' longest rows tie (Tb == Tc).
+    cases = [
+        ([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], [[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], [1.0, 0.0]),
+        ([[0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
+         [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [1.0, 0.0, 1.0]),
+        ([[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]], [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], [0.0, 1.0]),
+        ([[1, 1, 1, 0, 0], [1, 1, 0, 0, 0]], [[1, 0, 0, 0, 0], [1, 1, 1, 0, 0]], [1.0, 0.0]),
+    ]
+    for bug_mask, desc_mask, labels in cases:
+        batch = len(labels)
+        # Every real position reads its own random table row.
+        table = np.vstack([np.zeros((1, dim)), rng.normal(size=(2 * batch * n, dim))])
+        positions = np.arange(1, 2 * batch * n + 1, dtype=np.int32).reshape(2, batch, n)
+        check(positions[0] * bug_mask, positions[1] * desc_mask, labels, table)
+    # Duplicate rows: bug rows 0 and 2 are equal, description 1 equals them
+    # too, and bug 3 and description 2 are both all padding.
+    table = np.vstack([np.zeros((1, dim)), rng.normal(size=(12, dim))])
+    a, b, c, d = [1, 2, 3, 4, 0], [5, 6, 0, 0, 0], [7, 8, 9, 0, 0], [10, 11, 12, 0, 0]
+    zero = [0] * n
+    check(np.array([a, b, a, zero]), np.array([c, a, zero, d]), [1.0, 0.0, 1.0, 0.0], table)
 
 
 def test_batch_does_not_depend_on_row_order():
     # Packing sorts the stacked rows by length; a permuted batch, with tied
-    # lengths on both sides and a zero-length row, must give the permuted
-    # scores and the same loss and gradients.
+    # lengths on both sides, a zero-length row and duplicate rows, must give
+    # the permuted scores and the same loss and gradients, though it sums
+    # the duplicates' gradients in another order.
     rng = np.random.default_rng(21)
     model = make_model(dim=5, hidden=3, max_len=6)
     table = random_table(rng, 5)
     sizes = [(3, 2), (0, 4), (3, 2), (6, 3), (1, 0), (3, 3)]
     examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in sizes]
+    # A bug row repeated within the batch, and a description equal to a bug row.
+    examples.append(BatchExample(bug=examples[3].bug, description=examples[0].description,
+                                 label=0))
+    examples.append(BatchExample(bug=examples[3].bug, description=examples[5].bug, label=1))
     bug_ids, desc_ids, labels = stack_examples(examples)
-    perm = np.array([4, 2, 5, 0, 3, 1])
+    perm = np.array([4, 7, 2, 5, 0, 6, 3, 1])
     scores = score_many(model, examples, table)
     permuted = score_many(model, [examples[i] for i in perm], table)
     assert np.all(np.abs(permuted - scores[perm]) <= 1e-15)
@@ -418,8 +440,9 @@ def test_batch_does_not_depend_on_row_order():
         assert np.all(np.abs(grads_permuted[name] - grads[name]) <= 1e-15), name
 
 
-def test_lstm_reads_only_real_positions(monkeypatch):
-    # The recurrence sees each real (row, step) once per direction and no padding.
+@pytest.fixture
+def lstm_inputs(monkeypatch):
+    """The shape of every packed input ``_lstm_run`` receives."""
     seen = []
     lstm_run = qa_model._lstm_run
 
@@ -428,6 +451,11 @@ def test_lstm_reads_only_real_positions(monkeypatch):
         return lstm_run(params, x, *rest)
 
     monkeypatch.setattr(qa_model, "_lstm_run", recording)
+    return seen
+
+
+def test_lstm_reads_only_real_positions(lstm_inputs):
+    # The recurrence sees each real (row, step) once per direction and no padding.
     rng = np.random.default_rng(22)
     model = make_model(dim=4, hidden=3, max_len=8)
     table = random_table(rng, 4)
@@ -438,7 +466,58 @@ def test_lstm_reads_only_real_positions(monkeypatch):
     score_many(model, examples, table)
     real = np.count_nonzero(bug_ids) + np.count_nonzero(desc_ids)
     assert real == 29
-    assert seen == [(2, real, 4)] * 2
+    assert lstm_inputs == [(2, real, 4)] * 2
+
+
+def duplicate_batch(case):
+    """A model, a table and five examples with duplicate id rows of one kind:
+    a bug row repeated within the batch, a description equal to another
+    example's bug row, or two all-padding rows. No example repeats a row of
+    its own, so a one-example batch holds two distinct rows."""
+    rng = np.random.default_rng(23)
+    model = make_model(dim=4, hidden=3, max_len=7)
+    table = random_table(rng, 4)
+    examples = [random_example(rng, model, n_bug=b, n_desc=d)
+                for b, d in [(5, 3), (2, 6), (4, 4), (7, 1), (3, 5)]]
+    if case == "bug-repeated":
+        examples[2].bug = examples[0].bug
+        examples[4].bug = examples[0].bug
+    elif case == "cross-side":
+        examples[1].description = examples[3].bug
+    else:
+        examples[0].bug = token_ids([], 7)
+        examples[3].description = token_ids([], 7)
+    return model, table, examples
+
+
+@pytest.mark.parametrize("case", ["bug-repeated", "cross-side", "all-padding"])
+def test_duplicate_rows_run_once(lstm_inputs, case):
+    # Each distinct row of the stacked batch runs once; its copies share its
+    # states and sum their gradients, so scores equal single-example scores
+    # and gradients equal the mean of single-example gradients.
+    model, table, examples = duplicate_batch(case)
+    bug_ids, desc_ids, labels = stack_examples(examples)
+    stacked = np.concatenate([bug_ids, desc_ids])
+    distinct = np.unique(stacked, axis=0)
+    assert len(distinct) == len(stacked) - (2 if case == "bug-repeated" else 1)
+    _, cache = qa_model._forward_batch(model, table, bug_ids, desc_ids)
+    assert int(cache.bilstm_cache[3].max()) + 1 == len(distinct)
+    lstm_inputs.clear()
+    loss_value, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+    batched = score_many(model, examples, table)
+    assert lstm_inputs == [(2, np.count_nonzero(distinct), 4)] * 2
+    for i, ex in enumerate(examples):
+        assert abs(batched[i] - score(model, ex, table)) <= 1e-12
+    # The oracle: one example per batch, whose two rows are distinct.
+    singles = []
+    for i in range(len(examples)):
+        assert not np.array_equal(bug_ids[i], desc_ids[i])
+        singles.append(batch_loss_and_gradients(
+            model, table, bug_ids[i:i + 1], desc_ids[i:i + 1], labels[i:i + 1]))
+    assert loss_value == pytest.approx(np.mean([value for value, _ in singles]), rel=1e-12)
+    for name in model.params:
+        mean = np.mean([g[name] for _, g in singles], axis=0)
+        assert relative_error(grads[name], mean) <= 1e-12, name
 
 
 # --- training -----------------------------------------------------------------
