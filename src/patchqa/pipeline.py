@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -208,13 +211,61 @@ def _mean_over_folds(per_fold: list[dict]) -> dict:
     return out
 
 
+def _train_folds(k: int, train_fold, progress) -> list:
+    """``[train_fold(g) for g in range(k)]`` in P = min(k, usable CPUs) processes. Forked
+    child w pickles back the result (or exception) of each fold g % P == w, in order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(k, cpus or 1) if hasattr(os, "fork") else 1
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # the child: it must never unwind into the caller's stack
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as out:
+                        for group in range(worker, k, workers):
+                            try:
+                                pickle.dump(train_fold(group), out)
+                            except Exception as exc:
+                                pickle.dump(exc, out)
+                            out.flush()
+                    os._exit(0)
+                finally:  # no inherited stdio flush, exit handler or test teardown
+                    os._exit(1)
+            os.close(write_fd)
+            children[worker] = (pid, os.fdopen(read_fd, "rb"))
+        results = []
+        for group in range(k):
+            if progress is not None:
+                progress(group, k)
+            if group % workers == 0:
+                results.append(train_fold(group))
+                continue
+            try:
+                results.append(pickle.load(children[group % workers][1]))
+            except (EOFError, pickle.UnpicklingError):
+                children[group % workers][1].close()
+                status = os.waitpid(children.pop(group % workers)[0], 0)[1]
+                raise PipelineError(f"training fold {group}: worker process ended with "
+                                    f"status {os.waitstatus_to_exitcode(status)}") from None
+            if isinstance(results[-1], BaseException):
+                raise results[-1]
+        return results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     """Grouped k-fold cross-validation over the dataset.
 
     Trains one model per fold on the other k-1 groups, scores the held-out
     group, and assembles the report: per-fold metrics at the operating
     threshold with the fold's loss per epoch, their mean, a pooled threshold
-    sweep and pooled statistics.
+    sweep and pooled statistics. Folds share no state, so they train side by side.
     """
     _check_thresholds(config)
     config.model.validate()
@@ -224,11 +275,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
                   config.fold_seed)
     batch, table, metadata = _embed_examples(config, examples)
     vectors = dict(zip(examples, batch))
-    per_fold = []
-    folds = []
-    for group in range(config.k):
-        if progress is not None:
-            progress(group, config.k)
+
+    def train_fold(group):
         train_examples, test_examples = pairing.fold_split(examples, plan, group)
         train_batch = [vectors[ex] for ex in train_examples]
         fold_model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
@@ -237,7 +285,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
         scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples], table)
         labels = _labels(test_examples)
         at = metrics.threshold_sweep(scores, labels, (config.threshold,))[0]
-        per_fold.append({
+        return {
             "fold": group,
             "train_examples": len(train_batch),
             "test_examples": len(test_examples),
@@ -246,8 +294,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
             "plus_recall": at["plus_recall"],
             "minus_recall": at["minus_recall"],
             "loss_history": history,
-        })
-        folds.append(FoldOutcome(group, fold_model, test_examples, scores))
+        }, FoldOutcome(group, fold_model, test_examples, scores)
+    per_fold, folds = map(list, zip(*_train_folds(config.k, train_fold, progress)))
     pooled = [ex for fold in folds for ex in fold.test_examples]
     scores, labels = np.concatenate([fold.scores for fold in folds]), _labels(pooled)
     positives = sum(1 for ex in examples if ex.label == 1)

@@ -251,6 +251,8 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
 def _distinct_rows(ids: np.ndarray):
     """The indices of the distinct rows of ``ids`` in order of first
     occurrence, and for each row the position of its copy among them."""
+    if len(ids) == 2 and not np.array_equal(ids[0], ids[1]):  # one example's two sides
+        return np.arange(2), np.arange(2)
     rows = np.ascontiguousarray(ids)
     # One opaque key per row, so np.unique compares whole rows at once.
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
@@ -290,14 +292,13 @@ def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
     """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
     from the gradient of its (rows, steps, 2*hidden) output."""
     lstm_cache, where, sizes, inverse = cache
-    rows, steps, _ = g_e.shape
-    # BPTT is linear in the output gradient, so each distinct row runs it once
-    # on the sum of its copies' gradients, summed in row order by one matmul.
-    distinct = int(inverse.max()) + 1
-    copies = np.zeros((distinct, rows))
-    copies[inverse, np.arange(rows)] = 1.0
-    g_distinct = copies @ g_e.reshape(rows, -1)
-    g_states = g_distinct.reshape(distinct * steps, 2, -1)[where, _DIRECTIONS]
+    # BPTT is linear in the output gradient, so each distinct row runs it once on
+    # its copies' gradients summed: each later copy added to the first, in row order.
+    keep = np.unique(inverse, return_index=True)[1]
+    g_distinct = g_e[keep]
+    for row in np.setdiff1d(np.arange(len(g_e)), keep, assume_unique=True).tolist():
+        g_distinct[inverse[row]] += g_e[row]
+    g_states = g_distinct.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
     return _lstm_back(model.params, lstm_cache, g_states, sizes)
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import signal
 from dataclasses import fields
 
 import pytest
@@ -162,6 +164,86 @@ def test_crossval_byte_identical_reruns(small_corpus, tmp_path, capsys):
     assert code1 == 0 and code2 == 0
     for name in ("report.json", "scores.csv", "foldplan.json", "model_fold0.ckpt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable to crossval; returns the list its forks append to."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_crossval_outputs_do_not_depend_on_worker_count(small_corpus, tmp_path, capsys,
+                                                        monkeypatch):
+    # One CPU trains every fold in this process; three fork two workers. Both
+    # must write the same bytes and report progress in fold order.
+    args = ["crossval", "--dataset", small_corpus, "--k", "3", "--fold-seed", "7",
+            "--pair-seed", "8", "--model-seed", "9", *FAST_MODEL]
+    for cpus in (1, 3):
+        forks = use_cpus(monkeypatch, cpus)
+        code, _, err = run_cli(capsys, [*args, "--out", tmp_path / str(cpus)])
+        assert code == 0
+        assert len(forks) == cpus - 1
+        assert err == "fold 1/3\nfold 2/3\nfold 3/3\n"
+        assert_no_child_left()
+    names = ["report.json", "scores.csv", "foldplan.json",
+             *(f"model_fold{fold}.ckpt" for fold in range(3))]
+    assert sorted(path.name for path in (tmp_path / "1").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+
+def fail_fold(monkeypatch, fold, action):
+    """Make the training of ``fold`` call ``action`` instead of ``qa_model.train``."""
+    stage = pipeline._stage
+    monkeypatch.setattr(pipeline, "_stage", lambda name, fn, *args: stage(
+        name, action if name == f"training fold {fold}" else fn, *args))
+
+
+def raise_training_error(*args):
+    raise qa_model.TrainingError("non-finite loss at epoch 0, batch 0")
+
+
+@pytest.mark.parametrize("fold", [0, 1])
+def test_crossval_fold_error_is_the_same_line_in_a_worker(small_corpus, tmp_path, capsys,
+                                                          monkeypatch, fold):
+    # Fold 0 fails in this process while the workers train; with three CPUs,
+    # fold 1 fails in a forked worker. Either way the error line is the one
+    # the in-process run gives, and no worker outlives crossval.
+    fail_fold(monkeypatch, fold, raise_training_error)
+    argv = ["crossval", "--dataset", small_corpus, "--out", tmp_path / "x", "--k", "3",
+            *FAST_MODEL]
+    errors = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        errors.append(err)
+        assert_no_child_left()
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(f"error: training fold {fold}: non-finite loss at epoch 0, "
+                              "batch 0\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_crossval_worker_killed_is_one_error_line(small_corpus, tmp_path, capsys,
+                                                  monkeypatch):
+    fail_fold(monkeypatch, 1, lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    use_cpus(monkeypatch, 3)
+    code, out, err = run_cli(capsys, ["crossval", "--dataset", small_corpus,
+                                      "--out", tmp_path / "x", "--k", "3", *FAST_MODEL])
+    assert code == 1 and out == ""
+    assert err == ("fold 1/3\nfold 2/3\n"
+                   f"error: training fold 1: worker process ended with status {-signal.SIGKILL}\n")
+    assert_no_child_left()
 
 
 # --- train / predict / evaluate ---------------------------------------------------
