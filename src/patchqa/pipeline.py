@@ -14,7 +14,7 @@ import os
 import pickle
 import signal
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,15 @@ def vectorize(bug_text: str, description_text: str, label: int, provider,
 
 
 def vectorize_examples(examples, provider, max_seq_len: int) -> list[qa_model.BatchExample]:
-    return [vectorize(ex.bug_text, ex.description_text, ex.label, provider, max_seq_len)
+    """``vectorize`` for each example, but each distinct text is prepared once, in
+    the same first-seen order, so ids match; examples sharing a text share its ids."""
+    prepared: dict[str, embed.TokenIds] = {}
+
+    def ids(text: str) -> embed.TokenIds:
+        if text not in prepared:
+            prepared[text] = embed.prepare(embed.tokenize(text), provider, max_seq_len)
+        return prepared[text]
+    return [qa_model.BatchExample(ids(ex.bug_text), ids(ex.description_text), ex.label)
             for ex in examples]
 
 
@@ -448,16 +456,14 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
             continue
         bug_ids = list(bug_texts)
         position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
-        max_len = fold.model.config.max_seq_len
         swapped = []
         for idx, ex in enumerate(fold.test_examples):
             if ex.label != 1 or fold.scores[idx] < threshold:
                 continue
             wrong = bug_ids[pairing.draw_other(rng, len(bug_ids), position[ex.bug_id])]
-            swapped.append(vectorize(bug_texts[wrong], ex.description_text, 1, provider,
-                                     max_len))
+            swapped.append(replace(ex, bug_text=bug_texts[wrong]))
             before.append(float(fold.scores[idx]))
-        after.extend(qa_model.score_many(fold.model, swapped, provider.table).tolist())
+        after.extend(score_examples(fold.model, swapped, provider).tolist())
     if not before:
         raise ValueError("no recalled positives available to ablate")
     lost = sum(1 for value in after if value < threshold)

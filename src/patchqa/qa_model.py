@@ -25,10 +25,12 @@ a prefix, so masks and lengths are derived from the ids. In each training
 batch and each scoring chunk of ``batch_size`` examples, each side is cut to
 its own longest real row: the BiLSTM runs the stacked rows at the wider of
 the two, and attention is (batch, bug width, description width). The real
-positions are gathered once from the run's embedding table. Only the BiLSTM
-weights are learned; the table is fixed, so back-propagation stops at the
-weight gradients. Training minimizes binary cross-entropy with Adam; all
-arithmetic is float64 numpy and deterministic under the config seed.
+positions are gathered once from the run's embedding table. Scoring chunks
+group the examples by bug report, so a report's row runs in as few chunks as
+can be; scores return in input order. Only the BiLSTM weights are learned;
+the table is fixed, so back-propagation stops at the weight gradients.
+Training minimizes binary cross-entropy with Adam; all arithmetic is float64
+numpy and deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -408,12 +410,18 @@ def score(model: QaModel, example: BatchExample, table: np.ndarray) -> float:
 
 def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) -> np.ndarray:
     """Scores in example order, gathered from ``table`` and scored in chunks of
-    ``batch_size``, so memory follows the chunk, not the whole set."""
-    size = model.config.batch_size
-    chunks = (stack_examples(examples[i:i + size]) for i in range(0, len(examples), size))
-    scores = [_forward_batch(model, table, bug_ids, desc_ids)[0]
-              for bug_ids, desc_ids, _ in chunks]
-    return np.concatenate(scores) if scores else np.empty(0)
+    ``batch_size``, so memory follows the chunk, not the whole set. Chunks take
+    the examples grouped by bug report, in order of each report's first
+    occurrence, so a report shared by many examples runs in as few chunks as can be."""
+    if not examples:
+        return np.empty(0)
+    bug_ids, desc_ids, _ = stack_examples(examples)
+    order = np.argsort(_distinct_rows(bug_ids)[1], kind="stable")
+    scores = np.empty(len(examples))
+    for start in range(0, len(examples), model.config.batch_size):
+        chunk = order[start:start + model.config.batch_size]
+        scores[chunk] = _forward_batch(model, table, bug_ids[chunk], desc_ids[chunk])[0]
+    return scores
 
 
 def batch_loss_and_gradients(model: QaModel, table: np.ndarray, bug_ids, desc_ids, labels):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -164,6 +165,36 @@ def test_crossval_byte_identical_reruns(small_corpus, tmp_path, capsys):
     assert code1 == 0 and code2 == 0
     for name in ("report.json", "scores.csv", "foldplan.json", "model_fold0.ckpt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def read_score_rows(path) -> dict:
+    """``scores.csv`` as {(patch_id, bug_id, label): score}."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {(row["patch_id"], row["bug_id"], row["label"]): float(row["score"])
+                for row in csv.DictReader(fh)}
+
+
+def test_evaluate_of_a_fold_checkpoint_repeats_its_crossval_scores(small_corpus, tmp_path,
+                                                                   capsys):
+    # The same held-out examples in other chunks: crossval scores fold 0's test
+    # examples alone, evaluate every example of the dataset, 8 at a time.
+    seeds = ["--fold-seed", "7", "--pair-seed", "8", "--model-seed", "9"]
+    code, _, err = run_cli(capsys, ["crossval", "--dataset", small_corpus, "--k", "2",
+                                    "--out", tmp_path / "cv", *seeds, *FAST_MODEL,
+                                    "--batch", "8"])
+    assert code == 0, err
+    code, _, err = run_cli(capsys, ["evaluate", "--model", tmp_path / "cv" / "model_fold0.ckpt",
+                                    "--dataset", small_corpus, "--pair-seed", "8",
+                                    "--out", tmp_path / "eval"])
+    assert code == 0, err
+    plan = read_fold_plan((tmp_path / "cv" / "foldplan.json").read_text())
+    crossval = read_score_rows(tmp_path / "cv" / "scores.csv")
+    evaluated = read_score_rows(tmp_path / "eval" / "scores.csv")
+    assert evaluated.keys() == crossval.keys()
+    fold0 = [key for key in crossval if plan.assignments[key[1]] == 0]
+    assert len(fold0) > 8
+    for key in fold0:
+        assert abs(evaluated[key] - crossval[key]) <= 1e-12, key
 
 
 def use_cpus(monkeypatch, count):

@@ -254,6 +254,40 @@ def test_batched_scores_equal_single_scores():
         assert abs(batched[i] - score(chunked, ex, table)) <= 1e-12
 
 
+def test_score_many_scores_each_bug_report_in_one_chunk(monkeypatch):
+    # Eleven examples of three bug reports, interleaved, in chunks of four:
+    # grouped by report, each report's row enters one chunk, and the scores
+    # come back in input order.
+    rng = np.random.default_rng(24)
+    model = make_model(dim=4, hidden=3, max_len=7, batch_size=4)
+    table = random_table(rng, 4)
+    bugs = [token_ids(rng.integers(1, VOCAB + 1, size=n), 7) for n in (6, 3, 5)]
+    examples = [random_example(rng, model) for _ in range(11)]
+    for i, ex in enumerate(examples):
+        ex.bug = bugs[i % 3]
+    chunks = []
+    bilstm_run = qa_model._bilstm_run
+
+    def recording(model, lengths, table, ids):
+        chunks.append(ids)
+        return bilstm_run(model, lengths, table, ids)
+
+    monkeypatch.setattr(qa_model, "_bilstm_run", recording)
+    scores = score_many(model, examples, table)
+    assert len(chunks) == 3
+    for side in bugs:
+        # A chunk cut to width w holds the row if the row is real only within w.
+        holds = [not side.ids[len(ids[0]):].any()
+                 and any(np.array_equal(row, side.ids[:len(row)]) for row in ids)
+                 for ids in chunks]
+        assert sum(holds) == 1
+    assert scores.shape == (11,)
+    for i, ex in enumerate(examples):
+        assert abs(scores[i] - score(model, ex, table)) <= 1e-12
+    empty = score_many(model, [], table)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 WORDS = ["parser", "crash", "null", "header", "guard", "empty", "fix", "loop"]
 
 
