@@ -13,6 +13,7 @@ import json
 import os
 import pickle
 import signal
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -220,10 +221,17 @@ def _mean_over_folds(per_fold: list[dict]) -> dict:
 
 
 def _train_folds(k: int, train_fold, progress) -> list:
-    """``[train_fold(g) for g in range(k)]`` in P = min(k, usable CPUs) processes. Forked
-    child w pickles back the result (or exception) of each fold g % P == w, in order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(k, cpus or 1) if hasattr(os, "fork") else 1
+    """``[train_fold(g) for g in range(k)]`` in P = min(k, 2 x usable CPUs) processes.
+    Forked child w pickles back the result (or exception) of each fold g % P == w, in
+    order. The OS time-shares the CPUs among them, so k folds take about k / CPUs
+    fold-times whenever k <= P, not the ceil(k / CPUs) of one process per CPU, and at
+    most P folds are in memory at once. One usable CPU, no ``os.fork``, or another live
+    thread (a lock it holds at the fork stays locked in the child forever) trains every
+    fold in-process."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    forkable = hasattr(os, "fork") and cpus > 1 and threading.active_count() == 1
+    workers = min(k, 2 * cpus) if forkable else 1
     children = {}  # worker -> (pid, read end of its pipe)
     try:
         for worker in range(1, workers):
@@ -273,7 +281,9 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     Trains one model per fold on the other k-1 groups, scores the held-out
     group, and assembles the report: per-fold metrics at the operating
     threshold with the fold's loss per epoch, their mean, a pooled threshold
-    sweep and pooled statistics. Folds share no state, so they train side by side.
+    sweep and pooled statistics. Folds share no state, so they train side by side in
+    up to min(k, 2 x usable CPUs) processes (see ``_train_folds``); the outputs do not
+    depend on that count.
     """
     _check_thresholds(config)
     config.model.validate()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import signal
+import threading
 from dataclasses import fields
 
 import pytest
@@ -212,24 +213,54 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def crossval_outputs(out_dir, k: int) -> dict:
+    names = ["report.json", "scores.csv", "foldplan.json",
+             *(f"model_fold{fold}.ckpt" for fold in range(k))]
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(names)
+    return {name: (out_dir / name).read_bytes() for name in names}
+
+
+CROSSVAL_SEEDS = ["--fold-seed", "7", "--pair-seed", "8", "--model-seed", "9"]
+
+
 def test_crossval_outputs_do_not_depend_on_worker_count(small_corpus, tmp_path, capsys,
                                                         monkeypatch):
-    # One CPU trains every fold in this process; three fork two workers. Both
-    # must write the same bytes and report progress in fold order.
-    args = ["crossval", "--dataset", small_corpus, "--k", "3", "--fold-seed", "7",
-            "--pair-seed", "8", "--model-seed", "9", *FAST_MODEL]
-    for cpus in (1, 3):
+    # One CPU trains every fold in this process. More CPUs run up to twice as
+    # many processes, at most one per fold: k=3 on two CPUs runs three, k=5
+    # runs four. Every count must write the same bytes and report progress in
+    # fold order.
+    for k, cpus, expected_forks in ((3, 1, 0), (3, 2, 2), (3, 3, 2), (5, 1, 0), (5, 2, 3)):
         forks = use_cpus(monkeypatch, cpus)
-        code, _, err = run_cli(capsys, [*args, "--out", tmp_path / str(cpus)])
+        out_dir = tmp_path / f"k{k}-cpus{cpus}"
+        code, _, err = run_cli(capsys, ["crossval", "--dataset", small_corpus, "--k", k,
+                                        *CROSSVAL_SEEDS, *FAST_MODEL, "--out", out_dir])
         assert code == 0
-        assert len(forks) == cpus - 1
-        assert err == "fold 1/3\nfold 2/3\nfold 3/3\n"
+        assert len(forks) == expected_forks, (k, cpus)
+        assert err == "".join(f"fold {fold}/{k}\n" for fold in range(1, k + 1))
         assert_no_child_left()
-    names = ["report.json", "scores.csv", "foldplan.json",
-             *(f"model_fold{fold}.ckpt" for fold in range(3))]
-    assert sorted(path.name for path in (tmp_path / "1").iterdir()) == sorted(names)
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+        assert crossval_outputs(out_dir, k) == crossval_outputs(tmp_path / f"k{k}-cpus1", k)
+
+
+def test_crossval_does_not_fork_while_another_thread_runs(small_corpus, tmp_path, capsys,
+                                                          monkeypatch):
+    # A forked child gets only the calling thread; a lock another thread held at
+    # the fork stays held in the child forever. So a live thread means in-process
+    # training, with the bytes of the one-CPU run.
+    args = ["crossval", "--dataset", small_corpus, "--k", "3", *CROSSVAL_SEEDS, *FAST_MODEL]
+    use_cpus(monkeypatch, 1)
+    assert run_cli(capsys, [*args, "--out", tmp_path / "alone"])[0] == 0
+    release = threading.Event()
+    idle = threading.Thread(target=release.wait)
+    idle.start()
+    try:
+        forks = use_cpus(monkeypatch, 3)
+        code, _, err = run_cli(capsys, [*args, "--out", tmp_path / "threaded"])
+    finally:
+        release.set()
+        idle.join()
+    assert code == 0, err
+    assert forks == []
+    assert crossval_outputs(tmp_path / "threaded", 3) == crossval_outputs(tmp_path / "alone", 3)
 
 
 def fail_fold(monkeypatch, fold, action):
@@ -243,17 +274,17 @@ def raise_training_error(*args):
     raise qa_model.TrainingError("non-finite loss at epoch 0, batch 0")
 
 
-@pytest.mark.parametrize("fold", [0, 1])
+@pytest.mark.parametrize("fold", [0, 1, 2])
 def test_crossval_fold_error_is_the_same_line_in_a_worker(small_corpus, tmp_path, capsys,
                                                           monkeypatch, fold):
-    # Fold 0 fails in this process while the workers train; with three CPUs,
-    # fold 1 fails in a forked worker. Either way the error line is the one
-    # the in-process run gives, and no worker outlives crossval.
+    # Fold 0 fails in this process while the workers train; with two CPUs,
+    # folds 1 and 2 fail in forked workers. Either way the error line is the
+    # one the in-process run gives, and no worker outlives crossval.
     fail_fold(monkeypatch, fold, raise_training_error)
     argv = ["crossval", "--dataset", small_corpus, "--out", tmp_path / "x", "--k", "3",
             *FAST_MODEL]
     errors = []
-    for cpus in (1, 3):
+    for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
@@ -265,15 +296,24 @@ def test_crossval_fold_error_is_the_same_line_in_a_worker(small_corpus, tmp_path
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("fold", [1, 2])
 def test_crossval_worker_killed_is_one_error_line(small_corpus, tmp_path, capsys,
-                                                  monkeypatch):
-    fail_fold(monkeypatch, 1, lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-    use_cpus(monkeypatch, 3)
+                                                  monkeypatch, fold):
+    # Two CPUs run k=3 in three processes, so each of folds 1 and 2 has a worker.
+    main_pid = os.getpid()
+
+    def kill_worker(*args):
+        assert os.getpid() != main_pid, f"fold {fold} trained in the main process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_fold(monkeypatch, fold, kill_worker)
+    use_cpus(monkeypatch, 2)
     code, out, err = run_cli(capsys, ["crossval", "--dataset", small_corpus,
                                       "--out", tmp_path / "x", "--k", "3", *FAST_MODEL])
     assert code == 1 and out == ""
-    assert err == ("fold 1/3\nfold 2/3\n"
-                   f"error: training fold 1: worker process ended with status {-signal.SIGKILL}\n")
+    assert err == ("".join(f"fold {group}/3\n" for group in range(1, fold + 2))
+                   + f"error: training fold {fold}: worker process ended with status "
+                   f"{-signal.SIGKILL}\n")
     assert_no_child_left()
 
 
