@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -155,6 +157,24 @@ def _run_config(args) -> RunConfig:
                      **_given(args, RunConfig))
 
 
+def _check_output(path, directory=False) -> None:
+    """Raise now, before any work, the OSError that writing the output at
+    ``path`` would raise after it: a directory made with its parents, or
+    else a file in an existing directory."""
+    path = Path(path)
+    # A directory is made with its parents, so its nearest existing ancestor holds it.
+    home = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+    if path.exists() and path.is_dir() != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+    elif not home.is_dir():
+        code = errno.ENOTDIR if home.exists() else errno.ENOENT
+    elif not os.access(home, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def _emit(obj, out=None) -> None:
     """Print ``obj`` as JSON; also write it to the file ``out`` if given."""
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -164,6 +184,8 @@ def _emit(obj, out=None) -> None:
 
 
 def cmd_ingest(args) -> int:
+    if args.out:
+        _check_output(args.out)
     ds, removed = pipeline.load_deduped(args.dataset)
     _emit(pipeline.dataset_summary(ds, removed), args.out)
     return 0
@@ -171,6 +193,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_crossval(args) -> int:
     config = _run_config(args)
+    _check_output(args.out, directory=True)
 
     def progress(fold, k):
         print(f"fold {fold + 1}/{k}", file=sys.stderr)
@@ -183,6 +206,7 @@ def cmd_crossval(args) -> int:
 
 def cmd_train(args) -> int:
     config = _run_config(args)
+    _check_output(args.model_out)
     model, info = pipeline.run_train(config)
     qa_model.save_model(model, args.model_out)
     _emit({"examples": info["examples"], "positives": info["positives"],
@@ -226,6 +250,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_output(args.out, directory=True)
     model = qa_model.load_model(args.model)
     provider = _predict_provider(args, model)
     config = RunConfig(dataset=args.dataset, **_given(args, RunConfig))
@@ -239,6 +264,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
+    if args.out:
+        _check_output(args.out)
     ds, _ = pipeline.load_deduped(args.dataset)
     spec = _embedding_spec(args)
     pair_seed = _given(args, RunConfig).get("pair_seed", RunConfig.pair_seed)

@@ -88,7 +88,7 @@ class Embedding:
         vectors: dict[str, np.ndarray] = {}
         with open(path, encoding="utf-8") as fh:
             first = fh.readline().split()
-            if len(first) != 2 or first[0] != "dim":
+            if len(first) != 2 or first[0] != "dim" or not first[1].isdecimal():
                 raise ValueError(f"{path}: first line must be 'dim <D>'")
             dim = int(first[1])
             if dim <= 0:
@@ -104,7 +104,10 @@ class Embedding:
                     raise ValueError(
                         f"{path}:{lineno}: expected {dim} components, got {len(parts) - 1}"
                     )
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                try:
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not np.all(np.isfinite(vec)):
                     raise ValueError(f"{path}:{lineno}: non-finite component")
                 vectors[token] = vec

@@ -117,8 +117,11 @@ def mww_test(sample_a, sample_b) -> MwwResult:
 
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
-    """The thresholds as floats, if each lies in [0, 1] in ascending order."""
+    """The thresholds as floats, if there is one or more, each in [0, 1], in
+    ascending order."""
     ts = tuple(float(t) for t in thresholds)
+    if not ts:
+        raise ValueError("thresholds must not be empty")
     if not all(0.0 <= t <= 1.0 for t in ts):
         raise ValueError(f"thresholds must lie in [0, 1], not {list(ts)}")
     if list(ts) != sorted(ts):

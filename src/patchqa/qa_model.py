@@ -7,10 +7,13 @@ reversed, so one time loop runs both directions at once. A batch's
 bug-report rows and description rows are stacked along the batch axis and
 take that one loop together. A question meets many answers, so rows repeat:
 each distinct sequence of a batch runs once; copies share its states and sum
-their gradients. Every description position attends over the
-bug-report positions with dot-product softmax weights; the bug-report rows
-and the attended vectors are flattened and compared with cosine similarity
-squashed through a sigmoid:
+their gradients. The BiLSTM's output and its gradient stay at the distinct
+rows; each side gathers its rows from the output for attention, and the
+copies' gradients are summed straight into one row per distinct sequence.
+Every description position attends over the bug-report positions with
+dot-product softmax weights; the bug-report rows and the attended vectors
+are flattened and compared with cosine similarity squashed through a
+sigmoid:
 
     score = sigmoid(cosine(flatten(e_bug), flatten(attended)))
 
@@ -28,7 +31,9 @@ the two, and attention is (batch, bug width, description width). The real
 positions are gathered once from the run's embedding table. Scoring chunks
 group the examples by bug report, so a report's row runs in as few chunks as
 can be; scores return in input order. Only the BiLSTM weights are learned;
-the table is fixed, so back-propagation stops at the weight gradients.
+the table is fixed, so back-propagation stops at the weight gradients. The
+attention softmax and its backward work in place, and a training step frees
+attention's arrays before backpropagation through time runs.
 Training minimizes binary cross-entropy with Adam; all arithmetic is float64
 numpy and deterministic under the config seed.
 """
@@ -266,10 +271,12 @@ def _distinct_rows(ids: np.ndarray):
 
 
 def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
-    """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch;
-    gives (rows, steps, 2*hidden). Row r has ``lengths[r]`` real steps, then
-    padding. Only the real steps of each distinct row run, once however many
-    rows repeat it, and padded positions come out zero."""
+    """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch.
+    Row r has ``lengths[r]`` real steps, then padding. Only the real steps of
+    each distinct row run, once however many rows repeat it. Returns the
+    (distinct rows, steps, 2*hidden) output, whose padded positions are zero,
+    the index of each row's distinct row in it, and the cache for
+    ``_bilstm_back``."""
     steps = ids.shape[1]
     keep, inverse = _distinct_rows(ids)
     lengths = lengths[keep]
@@ -286,27 +293,21 @@ def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.
     states, cache = _lstm_run(model.params, table[ids[keep].ravel()[where]], sizes)
     e = np.zeros((len(keep) * steps, 2, states.shape[2]))
     e[where, _DIRECTIONS] = states
-    # Copies of a row share its states.
-    return e.reshape(len(keep), steps, -1)[inverse], (cache, where, sizes, inverse)
+    return e.reshape(len(keep), steps, -1), inverse, (cache, where, sizes)
 
 
 def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
     """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
-    from the gradient of its (rows, steps, 2*hidden) output."""
-    lstm_cache, where, sizes, inverse = cache
-    # BPTT is linear in the output gradient, so each distinct row runs it once on
-    # its copies' gradients summed: each later copy added to the first, in row order.
-    keep = np.unique(inverse, return_index=True)[1]
-    g_distinct = g_e[keep]
-    for row in np.setdiff1d(np.arange(len(g_e)), keep, assume_unique=True).tolist():
-        g_distinct[inverse[row]] += g_e[row]
-    g_states = g_distinct.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
+    from the gradient of its (distinct rows, steps, 2*hidden) output."""
+    lstm_cache, where, sizes = cache
+    g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
     return _lstm_back(model.params, lstm_cache, g_states, sizes)
 
 
 @dataclass
 class _ForwardCache:
     bilstm_cache: tuple
+    inverse: np.ndarray
     e_b: np.ndarray
     e_c: np.ndarray
     alpha: np.ndarray
@@ -331,15 +332,19 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     width_c = max(1, int(lengths[batch:].max()))
     ids = ids[:, :max(width_b, width_c)]
     desc_mask = (ids[batch:, :width_c] > 0).astype(np.float64)
-    # One BiLSTM pass over the bug rows and the description rows stacked.
-    e, bilstm_cache = _bilstm_run(model, lengths, table, ids)
-    e_b, e_c = e[:batch, :width_b], e[batch:, :width_c]
-    logits = e_b @ e_c.transpose(0, 2, 1)
-    # A finite stand-in for -inf keeps fully-masked columns NaN-free; the
+    # One BiLSTM pass over the distinct rows of the bug and description rows
+    # stacked; each side gathers its rows' outputs at its own width.
+    e, inverse, bilstm_cache = _bilstm_run(model, lengths, table, ids)
+    e_b, e_c = e[inverse[:batch], :width_b], e[inverse[batch:], :width_c]
+    del e  # attention reads only the gathered sides
+    # The masked softmax over the bug positions runs in the logits' buffer. A
+    # finite stand-in for -inf keeps fully-masked columns NaN-free; the
     # zero-norm rule then forces those scores to 0.5 anyway.
-    logits = np.where(ids[:batch, :width_b, None] > 0, logits, _MASKED_LOGIT)
-    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-    alpha = weights / weights.sum(axis=1, keepdims=True)
+    alpha = e_b @ e_c.transpose(0, 2, 1)
+    alpha[ids[:batch, :width_b] == 0] = _MASKED_LOGIT
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
     attended = alpha.transpose(0, 2, 1) @ e_b
     attended *= desc_mask[:, :, None]
     # Padded positions of e_b are already exact zeros, so the dot product
@@ -354,13 +359,14 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    cache = _ForwardCache(bilstm_cache, e_b, e_c, alpha, desc_mask,
+    cache = _ForwardCache(bilstm_cache, inverse, e_b, e_c, alpha, desc_mask,
                           rb, rc, dot, norm_b, norm_c, scores)
     return scores, cache
 
 
-def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
-    """Gradients of the mean BCE over the batch for every parameter tensor."""
+def _backward_batch(cache: _ForwardCache, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean BCE over the batch at the BiLSTM's output: one
+    row per distinct row, ready for ``_bilstm_back``."""
     batch = labels.shape[0]
     # d(mean BCE)/d cosine collapses to (score - label) / batch.
     g_cos = (cache.scores - labels) / batch
@@ -379,18 +385,34 @@ def _backward_batch(model: QaModel, cache: _ForwardCache, labels: np.ndarray):
     g_rb[:, :shared] += cross * cache.rc[:, :shared]
     g_rc[:, :shared] += cross * cache.rb[:, :shared]
     # Padded rows of g_e_b are left unmasked: _bilstm_back never reads them.
+    # g_e_b grows in g_rb's buffer and the logits' gradient in g_alpha's.
     g_att = g_rc.reshape(cache.e_c.shape) * cache.desc_mask[:, :, None]
     g_alpha = cache.e_b @ g_att.transpose(0, 2, 1)
-    g_e_b = g_rb.reshape(cache.e_b.shape) + cache.alpha @ g_att
+    g_e_b = g_rb.reshape(cache.e_b.shape)
+    g_e_b += cache.alpha @ g_att
     inner = (cache.alpha * g_alpha).sum(axis=1, keepdims=True)
-    g_logits = cache.alpha * (g_alpha - inner)
-    g_e_b += g_logits @ cache.e_c
-    # Zero-pad both sides back to the BiLSTM's stacked (rows, steps, 2*hidden).
-    width_b, width_c = cache.e_b.shape[1], cache.e_c.shape[1]
-    g_e = np.zeros((2 * batch, max(width_b, width_c), cache.e_b.shape[2]))
-    g_e[:batch, :width_b] = g_e_b
-    g_e[batch:, :width_c] = g_logits.transpose(0, 2, 1) @ cache.e_b
-    return _bilstm_back(model, cache.bilstm_cache, g_e)
+    g_alpha -= inner
+    g_alpha *= cache.alpha
+    g_e_b += g_alpha @ cache.e_c
+    g_e_c = g_alpha.transpose(0, 2, 1) @ cache.e_b
+    # BPTT is linear in the output gradient, so each distinct row runs it once
+    # on its copies' gradients summed: the first copy assigned, each later one
+    # added in stacked row order (bug rows, then description rows).
+    inverse = cache.inverse
+    first = np.unique(inverse, return_index=True)[1]
+    width_b, width_c = g_e_b.shape[1], g_e_c.shape[1]
+    g_e = np.zeros((len(first), max(width_b, width_c), g_e_b.shape[2]))
+    # Distinct rows are numbered in order of first occurrence, so those first
+    # met among the bug rows come first.
+    on_bug = np.count_nonzero(first < batch)
+    g_e[:on_bug, :width_b] = g_e_b[first[:on_bug]]
+    g_e[on_bug:, :width_c] = g_e_c[first[on_bug:] - batch]
+    for row in np.setdiff1d(np.arange(2 * batch), first, assume_unique=True).tolist():
+        if row < batch:
+            g_e[inverse[row], :width_b] += g_e_b[row]
+        else:
+            g_e[inverse[row], :width_c] += g_e_c[row - batch]
+    return g_e
 
 
 def stack_examples(examples: list[BatchExample]):
@@ -429,7 +451,9 @@ def batch_loss_and_gradients(model: QaModel, table: np.ndarray, bug_ids, desc_id
     scores, cache = _forward_batch(model, table, bug_ids, desc_ids)
     y = np.asarray(labels, dtype=np.float64)
     losses = -(y * np.log(scores) + (1.0 - y) * np.log(1.0 - scores))
-    return float(losses.mean()), _backward_batch(model, cache, y)
+    g_e, bilstm_cache = _backward_batch(cache, y), cache.bilstm_cache
+    del cache  # attention's arrays are freed before BPTT runs
+    return float(losses.mean()), _bilstm_back(model, bilstm_cache, g_e)
 
 
 class Adam:

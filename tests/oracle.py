@@ -22,8 +22,8 @@ def bilstm_forward(model: qa_model.QaModel, rows, length: int | None = None) -> 
     # A table of its own: the zero padding row, then one row per position.
     table = np.vstack([np.zeros((1, rows.shape[1])), rows])
     ids = np.arange(1, len(rows) + 1)[None]
-    e, _ = qa_model._bilstm_run(model, np.array([length]), table, ids)
-    return e[0]
+    e, inverse, _ = qa_model._bilstm_run(model, np.array([length]), table, ids)
+    return e[inverse[0]]
 
 
 def lstm_direction(params, d: int, rows) -> np.ndarray:

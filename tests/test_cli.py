@@ -140,6 +140,8 @@ BAD_MODEL_SETTINGS = [  # (id, flags, the error line crossval gives)
                  "error: evaluation: thresholds must be sorted ascending", id="unsorted"),
     pytest.param("crossval", ["--threshold", "7"],
                  "error: evaluation: thresholds must lie in [0, 1]", id="threshold-7"),
+    pytest.param("crossval", ["--thresholds", ","],
+                 "error: evaluation: thresholds must not be empty", id="empty-sweep"),
     *(pytest.param("train", flags, message, id=f"train-{case}")
       for case, flags, message in BAD_MODEL_SETTINGS),
 ])
@@ -446,6 +448,7 @@ def test_evaluate_computes_its_auc_once(trained_checkpoint, small_corpus, tmp_pa
     pytest.param(["--threshold", "7"], "thresholds must lie in [0, 1]", id="threshold-7"),
     pytest.param(["--thresholds", "0.6,0.4"], "thresholds must be sorted ascending",
                  id="unsorted"),
+    pytest.param(["--thresholds", ","], "thresholds must not be empty", id="empty-sweep"),
 ])
 def test_evaluate_rejects_bad_thresholds(trained_checkpoint, small_corpus, tmp_path,
                                          capsys, flags, message):
@@ -457,6 +460,42 @@ def test_evaluate_rejects_bad_thresholds(trained_checkpoint, small_corpus, tmp_p
     assert err.startswith(f"error: evaluation: {message}") and err.count("\n") == 1
     assert out == ""
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["crossval", "train", "evaluate", "ingest", "hypothesis"])
+def test_unwritable_output_fails_before_any_work(trained_checkpoint, small_corpus, tmp_path,
+                                                  capsys, monkeypatch, command):
+    # crossval and evaluate cannot make their output directory where a file
+    # stands, train cannot write a checkpoint into a missing directory, and
+    # ingest and hypothesis cannot write a file under a file: each says so
+    # before it trains, scores or prints anything.
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    argv, message = {
+        "crossval": (["crossval", "--dataset", small_corpus, "--out", blocker, *FAST_MODEL],
+                     f"error: [Errno 17] File exists: '{blocker}'"),
+        "train": (["train", "--dataset", small_corpus,
+                   "--model-out", tmp_path / "missing" / "x.ckpt", *FAST_MODEL],
+                  f"error: [Errno 2] No such file or directory: "
+                  f"'{tmp_path / 'missing' / 'x.ckpt'}'"),
+        "evaluate": (["evaluate", "--model", trained_checkpoint, "--dataset", small_corpus,
+                      "--out", blocker / "eval"],
+                     f"error: [Errno 20] Not a directory: '{blocker / 'eval'}'"),
+        "ingest": (["ingest", "--dataset", small_corpus, "--out", blocker / "summary.json"],
+                   f"error: [Errno 20] Not a directory: '{blocker / 'summary.json'}'"),
+        "hypothesis": (["hypothesis", "--dataset", small_corpus,
+                        "--out", blocker / "study.json"],
+                       f"error: [Errno 20] Not a directory: '{blocker / 'study.json'}'"),
+    }[command]
+    work = []
+    for name in ("train", "score_many"):
+        real = getattr(qa_model, name)
+        monkeypatch.setattr(qa_model, name,
+                            lambda *args, real=real, name=name: work.append(name) or real(*args))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err == message + "\n"
+    assert out == "" and work == []
 
 
 # --- hypothesis ------------------------------------------------------------------
@@ -566,6 +605,22 @@ def test_config_thresholds_may_be_a_list(small_corpus, tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert [row["threshold"] for row in report["sweep"]] == [0.3, 0.6]
+
+
+@pytest.mark.parametrize("command", ["crossval", "evaluate"])
+def test_config_rejects_an_empty_sweep(trained_checkpoint, small_corpus, tmp_path, capsys,
+                                       command):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"thresholds": []}), encoding="utf-8")
+    where = (["--model", trained_checkpoint] if command == "evaluate" else FAST_MODEL)
+    code, out, err = run_cli(capsys, [
+        "--config", config_path, command, "--dataset", small_corpus,
+        "--out", tmp_path / "run", *where,
+    ])
+    assert code == 1
+    assert err == "error: evaluation: thresholds must not be empty\n"
+    assert out == ""
+    assert not (tmp_path / "run").exists()
 
 
 def test_corrupt_checkpoint_fails_cleanly(trained_checkpoint, capsys):

@@ -183,6 +183,17 @@ def test_file_backed_non_finite(tmp_path):
         Embedding.load(path)
 
 
+@pytest.mark.parametrize("lines, message", [
+    pytest.param(["dim 2", "a 1 2", "b 1 abc"], r"vec\.txt:3: could not convert string "
+                 r"to float: 'abc'", id="component"),
+    pytest.param(["dim two", "a 1 2"], r"vec\.txt: first line must be 'dim <D>'", id="dim"),
+])
+def test_file_backed_non_numeric_names_where(tmp_path, lines, message):
+    path = _write_vectors(tmp_path / "vec.txt", lines)
+    with pytest.raises(ValueError, match=message):
+        Embedding.load(path)
+
+
 # --- prepare -----------------------------------------------------------------
 
 
