@@ -120,10 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thresholds(raw) -> tuple[float, ...]:
-    """A sweep from a config-file list or a comma-separated flag value."""
+def _thresholds(raw, source: str) -> tuple[float, ...]:
+    """A sweep from a config-file list or a comma-separated string; a part
+    that is no number is an error naming ``source``, the flag or config key."""
     parts = raw if isinstance(raw, list) else [t for t in raw.split(",") if t.strip()]
-    return tuple(float(t) for t in parts)
+    sweep = []
+    for part in parts:
+        try:
+            sweep.append(float(part))
+        except ValueError:
+            raise ValueError(f"{source}: {part.strip()!r} is not a number") from None
+    return tuple(sweep)
 
 
 def _given(args, cls) -> dict:
@@ -132,13 +139,13 @@ def _given(args, cls) -> dict:
     given = {}
     for flag, (owner, name, _) in _SETTINGS.items():
         dest = flag[2:].replace("-", "_")
-        value = getattr(args, dest, None)
+        value, source = getattr(args, dest, None), flag
         if value is None:
-            value = getattr(args, "_config_values", {}).get(dest)
+            value, source = getattr(args, "_config_values", {}).get(dest), f"config: {dest}"
         if owner is not cls or value is None:
             continue
         if name == "thresholds":
-            value = _thresholds(value)
+            value = _thresholds(value, source)
         if value != "":  # an empty --embeddings counts as not given
             given[name] = value
     return given
@@ -242,6 +249,11 @@ def cmd_predict(args) -> int:
     threshold = _given(args, RunConfig).get("threshold", RunConfig.threshold)
     example = pipeline.vectorize(bug_text, description, 0, provider,
                                  model.config.max_seq_len)
+    # A side without tokens scores 0.5, which the default threshold would
+    # call correct.
+    for side, ids in (("bug report", example.bug), ("description", example.description)):
+        if not ids.ids.any():
+            raise ValueError(f"predict: the {side} has no tokens")
     result = qa_model.predict(model, example, provider.table, threshold)
     _emit({"score": result.score, "label": result.label,
            "verdict": "correct" if result.label == 1 else "incorrect",

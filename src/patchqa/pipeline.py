@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import pickle
+import re
 import signal
 import threading
 from collections import Counter
@@ -354,8 +355,13 @@ def write_crossval_outputs(result: CrossvalResult, out_dir) -> None:
     write_json(result.report, out / "report.json")
     write_scores_csv(result.score_rows, out / "scores.csv")
     (out / "foldplan.json").write_text(result.plan.to_json(), encoding="utf-8")
+    written = {f"model_fold{fold.fold}.ckpt" for fold in result.folds}
     for fold in result.folds:
         qa_model.save_model(fold.model, out / f"model_fold{fold.fold}.ckpt")
+    # An earlier run into this directory may have had more folds.
+    for path in out.glob("model_fold*.ckpt"):
+        if re.fullmatch(r"model_fold\d+\.ckpt", path.name) and path.name not in written:
+            path.unlink()
 
 
 def run_train(config: RunConfig):

@@ -170,6 +170,20 @@ def test_crossval_byte_identical_reruns(small_corpus, tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_crossval_rerun_with_fewer_folds_leaves_no_stale_checkpoint(small_corpus, tmp_path,
+                                                                     capsys):
+    # A 2-fold run into the directory of a 3-fold run removes the third
+    # fold's checkpoint; a file of another name stays.
+    out_dir = tmp_path / "cv"
+    args = ["crossval", "--dataset", small_corpus, "--out", out_dir, *FAST_MODEL]
+    assert run_cli(capsys, args + ["--k", "3"])[0] == 0
+    (out_dir / "model_fold_notes.ckpt").write_text("kept", encoding="utf-8")
+    assert run_cli(capsys, args + ["--k", "2"])[0] == 0
+    assert json.loads((out_dir / "report.json").read_text())["config"]["k"] == 2
+    assert sorted(path.name for path in out_dir.glob("*.ckpt")) == [
+        "model_fold0.ckpt", "model_fold1.ckpt", "model_fold_notes.ckpt"]
+
+
 def read_score_rows(path) -> dict:
     """``scores.csv`` as {(patch_id, bug_id, label): score}."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -401,6 +415,20 @@ def test_predict_requires_inputs(trained_checkpoint, capsys):
     assert "bug" in err
 
 
+@pytest.mark.parametrize("side, flags", [
+    pytest.param("bug report", ["--bug-text", "", "--description", "guard the null header"],
+                 id="bug-empty"),
+    pytest.param("description", ["--bug-text", "parser crash", "--description", "!!!"],
+                 id="description-punctuation"),
+])
+def test_predict_rejects_a_side_without_tokens(trained_checkpoint, capsys, side, flags):
+    # Such a side scores 0.5, which the default threshold would call correct.
+    code, out, err = run_cli(capsys, ["predict", "--model", trained_checkpoint, *flags])
+    assert code == 1
+    assert err == f"error: predict: the {side} has no tokens\n"
+    assert out == ""
+
+
 def test_evaluate_writes_report(trained_checkpoint, small_corpus, tmp_path, capsys):
     out_dir = tmp_path / "eval"
     code, out, _ = run_cli(capsys, [
@@ -619,6 +647,23 @@ def test_config_rejects_an_empty_sweep(trained_checkpoint, small_corpus, tmp_pat
     ])
     assert code == 1
     assert err == "error: evaluation: thresholds must not be empty\n"
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["crossval", "evaluate"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_sweep_part_that_is_no_number_names_its_option(trained_checkpoint, small_corpus,
+                                                         tmp_path, capsys, command, source):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"thresholds": "0.2, x"}), encoding="utf-8")
+    given, name = ((["--thresholds", "0.2, x"], "--thresholds") if source == "flag"
+                   else (["--config", config_path], "config: thresholds"))
+    where = (["--model", trained_checkpoint] if command == "evaluate" else FAST_MODEL)
+    argv = [command, "--dataset", small_corpus, "--out", tmp_path / "run", *where]
+    code, out, err = run_cli(capsys, given + argv if source == "config" else argv + given)
+    assert code == 1
+    assert err == f"error: {name}: 'x' is not a number\n"
     assert out == ""
     assert not (tmp_path / "run").exists()
 

@@ -104,7 +104,8 @@ def test_batched_bilstm_matches_per_step_reference():
     table = np.vstack([np.zeros((1, model.input_dim)), rows[:5].reshape(-1, model.input_dim)])
     positions = np.arange(1, 5 * n + 1).reshape(5, n)
     ids = np.where(np.arange(n) < lengths[:, None], positions[[0, 1, 2, 3, 4, 4]], 0)
-    distinct, inverse, (_, where, sizes) = qa_model._bilstm_run(model, lengths, table, ids)
+    distinct, inverse, (_, _, tokens, where, sizes) = qa_model._bilstm_run(
+        model, lengths, table, ids)
     assert distinct.shape == (5, n, 2 * hidden)
     e = distinct[inverse]
     for r, length in enumerate(lengths):
@@ -123,6 +124,8 @@ def test_batched_bilstm_matches_per_step_reference():
     real = sorted(r * n + t for r, length in enumerate(distinct) for t in range(length))
     assert sorted(where[0].tolist()) == real
     assert sorted(where[1].tolist()) == real
+    # The cache keeps the packed token ids, not the packed input vectors.
+    assert np.array_equal(tokens, ids[:5].ravel()[where])
 
 
 def test_bilstm_rejects_dim_mismatch():
@@ -583,29 +586,46 @@ def test_bilstm_output_and_gradient_stay_at_distinct_rows(monkeypatch, case):
     assert outputs == gradients == [(distinct, width, 2 * model.config.hidden_size)]
 
 
-def test_training_batch_peak_memory():
-    # A question-answering batch: 64 examples share 8 long bug rows, and
-    # each has its own short description. The traced peak of one training
-    # step stays under a fixed bound. Gathering the BiLSTM output back to
-    # every stacked row, padding the gradient to every stacked row and
-    # keeping attention's arrays through BPTT peaked at about 4.0 MB here;
-    # keeping them at the distinct rows peaks at about 2.4 MB.
-    rng = np.random.default_rng(25)
-    batch, width, dim = 64, 32, 16
-    model = make_model(dim=dim, hidden=8, max_len=width)
+def training_step_peak(seed, batch, bug_rows, width, desc_len, dim, hidden) -> int:
+    """Traced peak of one training step on a question-answering batch:
+    ``batch`` examples share ``bug_rows`` long bug rows in turn, and each has
+    its own ``desc_len``-token description."""
+    rng = np.random.default_rng(seed)
+    model = make_model(dim=dim, hidden=hidden, max_len=width)
     table = random_table(rng, dim)
-    bug_ids = rng.integers(1, VOCAB + 1, size=(8, width))[np.arange(batch) % 8]
+    bug_ids = rng.integers(1, VOCAB + 1, size=(bug_rows, width))[np.arange(batch) % bug_rows]
     desc_ids = np.zeros((batch, width), dtype=np.int64)
-    desc_ids[:, :8] = rng.integers(1, VOCAB + 1, size=(batch, 8))
+    desc_ids[:, :desc_len] = rng.integers(1, VOCAB + 1, size=(batch, desc_len))
     labels = (np.arange(batch) % 2).astype(np.float64)
     batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     tracemalloc.start()
     try:
         batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_200_000
+
+
+def test_training_batch_peak_memory():
+    # 64 examples share 8 long bug rows and have 8-token descriptions. The
+    # traced peak of one training step stays under a fixed bound. Gathering
+    # the BiLSTM output back to every stacked row, padding the gradient to
+    # every stacked row and keeping attention's arrays through BPTT peaked at
+    # about 4.0 MB here; keeping them at the distinct rows peaked at about
+    # 2.4 MB, and keeping only what backpropagation reads peaks at about 1.6 MB.
+    assert training_step_peak(25, batch=64, bug_rows=8, width=32, desc_len=8,
+                              dim=16, hidden=8) < 3_200_000
+
+
+def test_training_step_keeps_only_what_backprop_reads():
+    # 32 examples share 16 long bug rows, two copies each, and have 4-token
+    # descriptions, so the BiLSTM's cache outweighs attention's arrays.
+    # Caching the packed input, tanh of the cells and the states, and a
+    # separate gate-gradient array for BPTT, peaked at about 3.0 MB here;
+    # gate gradients written over the gates, the input gathered again and
+    # the rest rebuilt, it peaks at about 1.7 MB.
+    assert training_step_peak(26, batch=32, bug_rows=16, width=32, desc_len=4,
+                              dim=32, hidden=16) < 2_300_000
 
 
 # --- training -----------------------------------------------------------------
