@@ -23,6 +23,7 @@ __all__ = [
     "Embedding",
     "TokenIds",
     "TokenSequence",
+    "has_token",
     "prepare",
     "standardize",
     "text_vector",
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9_#.]+")
+_TOKEN_CHAR = re.compile(r"[a-z0-9_#.]")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,11 @@ def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on any character outside [a-z0-9_#.]."""
     tokens = tuple(t for t in _TOKEN_SPLIT.split(text.lower()) if t)
     return TokenSequence(tokens)
+
+
+def has_token(text: str) -> bool:
+    """Whether ``tokenize(text)`` gives any token, without splitting the text."""
+    return _TOKEN_CHAR.search(text.lower()) is not None
 
 
 def _hashed_vector(token: str, seed: int, dim: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Dataset, Label, PatchRecord
 from .diffsum import DiffParseError, describe_diff
+from .embed import has_token
 
 __all__ = [
     "ExampleKind",
@@ -64,11 +65,13 @@ class QaExample:
 def resolve_description(dataset: Dataset, patch: PatchRecord) -> str | None:
     """Ingested description if present, else the rule-based diff summary.
 
-    Returns None when neither is available (unparseable or hunk-free diff).
+    Returns None when neither is available (unparseable or hunk-free diff) and
+    for an ingested description with no token, such as ``"!!!"``, which would
+    score 0.5 whatever its report.
     """
     desc = dataset.descriptions.get(patch.patch_id)
     if desc is not None:
-        return desc.text
+        return desc.text if has_token(desc.text) else None
     try:
         return describe_diff(patch.diff)
     except DiffParseError:
@@ -87,8 +90,9 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
     A correct patch gives a label-1 example with its own bug's report, an
     incorrect one a label-0 example. Each developer patch also gives a
     label-0 mismatch with the report of a bug drawn uniformly from all other
-    bugs. Mismatches are skipped when fewer than two bugs have a developer
-    description; unlabeled patches never contribute examples of their own.
+    bugs. A correct patch whose report has no token is an error. Mismatches
+    are skipped when fewer than two bugs have a developer description;
+    unlabeled patches never contribute examples of their own.
     One pass in dataset order resolves the description of each patch that
     can contribute (a labeled patch or any developer patch) once; patches
     without one are left out.
@@ -102,9 +106,9 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
             continue
         bug = dataset.bugs[patch.bug_id]
         if patch.label is Label.CORRECT:
-            if not bug.text.strip():
+            if not has_token(bug.text):
                 raise ValueError(
-                    f"bug report {patch.bug_id!r} has no text but owns correct patch "
+                    f"bug report {patch.bug_id!r} has no token but owns correct patch "
                     f"{patch.patch_id!r}"
                 )
             kind = (ExampleKind.DEV_POSITIVE if patch.origin.is_developer

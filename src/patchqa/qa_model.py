@@ -36,11 +36,13 @@ attention softmax and its backward work in place. A training step keeps
 only what backpropagation reads: the BiLSTM's cache is its gate activations
 and cells, over which backpropagation through time (BPTT) writes the gate
 gradients, rebuilding tanh of the cells and the states as it goes and
-gathering the input again from the table; attention's backward frees each
-array once its last read is past, and the output gradient is freed once
-BPTT has gathered it. On a 128-example ``serve`` training batch the traced
-peak is about 11.6 MB in the forward pass, 14.3 MB in attention's backward
-and 7.8 MB in BPTT.
+gathering the input again from the table. One function, ``_backward_batch``,
+runs a step's whole backward pass: from the loss through cosine and
+attention, the copies' sum at the distinct rows, and BPTT. It frees each
+array once its last read is past, so BPTT runs beside only the packed state
+gradients and the BiLSTM's cache. On a 128-example ``serve`` training batch
+the traced peak is about 11.6 MB in the forward pass, 14.3 MB in attention's
+backward and 7.8 MB in BPTT.
 Training minimizes binary cross-entropy with Adam; all arithmetic is float64
 numpy and deterministic under the config seed.
 """
@@ -275,8 +277,6 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
 def _distinct_rows(ids: np.ndarray):
     """The indices of the distinct rows of ``ids`` in order of first
     occurrence, and for each row the position of its copy among them."""
-    if len(ids) == 2 and not np.array_equal(ids[0], ids[1]):  # one example's two sides
-        return np.arange(2), np.arange(2)
     rows = np.ascontiguousarray(ids)
     # One opaque key per row, so np.unique compares whole rows at once.
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
@@ -293,8 +293,9 @@ def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.
     each distinct row run, once however many rows repeat it. Returns the
     (distinct rows, steps, 2*hidden) output, whose padded positions are zero,
     the index of each row's distinct row in it, and the cache for
-    ``_bilstm_back``: the LSTM cache, the table, the packed token ids, the
-    flat position each packed step wrote and the packed step sizes."""
+    backpropagation: the LSTM cache, the table, the packed token ids, the
+    flat position each packed step wrote, the packed step sizes and each
+    distinct row's first row."""
     steps = ids.shape[1]
     keep, inverse = _distinct_rows(ids)
     lengths = lengths[keep]
@@ -312,41 +313,13 @@ def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.
     states, cache = _lstm_run(model.params, table[tokens], sizes)
     e = np.zeros((len(keep) * steps, 2, states.shape[2]))
     e[where, _DIRECTIONS] = states
-    return e.reshape(len(keep), steps, -1), inverse, (cache, table, tokens, where, sizes)
-
-
-def _bilstm_back(model: QaModel, cache, g_e: np.ndarray):
-    """Parameter gradients of ``_bilstm_run``, keyed like ``model.params``,
-    from the gradient of its (distinct rows, steps, 2*hidden) output. BPTT
-    consumes the cache, so it serves one call. The caller hands ``g_e`` over:
-    it is dropped once the packed state gradients are gathered from it."""
-    lstm_cache, table, tokens, where, sizes = cache
-    g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
-    del g_e
-    return _lstm_back(model.params, lstm_cache, g_states, sizes, table, tokens)
-
-
-@dataclass
-class _ForwardCache:
-    bilstm_cache: tuple
-    inverse: np.ndarray
-    e_b: np.ndarray
-    e_c: np.ndarray
-    alpha: np.ndarray
-    desc_mask: np.ndarray
-    rb: np.ndarray
-    rc: np.ndarray
-    dot: np.ndarray
-    norm_b: np.ndarray
-    norm_c: np.ndarray
-    scores: np.ndarray
-
-    def release(self, *names: str) -> list[np.ndarray]:
-        """The named arrays, which the cache no longer holds afterwards."""
-        return [vars(self).pop(name) for name in names]
+    return (e.reshape(len(keep), steps, -1), inverse,
+            (cache, table, tokens, where, sizes, keep))
 
 
 def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
+    """Scores of the batch and, for ``_backward_batch``, a dict of the arrays
+    backpropagation reads."""
     # Real ids form a prefix, so a row's real length is its count of nonzero
     # ids. Each side is cut to its own longest real row (at least one step):
     # the BiLSTM runs the stacked rows at the wider of the two, and attention
@@ -360,7 +333,7 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     desc_mask = (ids[batch:, :width_c] > 0).astype(np.float64)
     # One BiLSTM pass over the distinct rows of the bug and description rows
     # stacked; each side gathers its rows' outputs at its own width.
-    e, inverse, bilstm_cache = _bilstm_run(model, lengths, table, ids)
+    e, inverse, bilstm = _bilstm_run(model, lengths, table, ids)
     e_b, e_c = e[inverse[:batch], :width_b], e[inverse[batch:], :width_c]
     del e  # attention reads only the gathered sides
     # The masked softmax over the bug positions runs in the logits' buffer. A
@@ -385,37 +358,39 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    cache = _ForwardCache(bilstm_cache, inverse, e_b, e_c, alpha, desc_mask,
-                          rb, rc, dot, norm_b, norm_c, scores)
-    return scores, cache
+    return scores, dict(bilstm=bilstm, inverse=inverse, e_b=e_b, e_c=e_c, alpha=alpha,
+                        desc_mask=desc_mask, rb=rb, rc=rc, dot=dot, norm_b=norm_b,
+                        norm_c=norm_c, scores=scores)
 
 
-def _backward_batch(cache: _ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean BCE over the batch at the BiLSTM's output: one
-    row per distinct row, ready for ``_bilstm_back``. Attention's arrays are
-    taken out of ``cache``, and each is freed once its last read is past."""
+def _backward_batch(model: QaModel, cache: dict, labels: np.ndarray):
+    """Parameter gradients of the mean BCE over the batch, keyed like
+    ``model.params``, from ``_forward_batch``'s cache. The arrays are popped
+    from ``cache`` and each is freed once its last read is past; BPTT
+    consumes the BiLSTM's cache, so a cache serves one call."""
     batch = labels.shape[0]
-    e_b, e_c, alpha, rb, rc = cache.release("e_b", "e_c", "alpha", "rb", "rc")
+    e_b, e_c, alpha, rb, rc = map(cache.pop, ("e_b", "e_c", "alpha", "rb", "rc"))
+    norm_b, norm_c, dot = cache["norm_b"], cache["norm_c"], cache["dot"]
     # d(mean BCE)/d cosine collapses to (score - label) / batch.
-    g_cos = (cache.scores - labels) / batch
-    denom = cache.norm_b * cache.norm_c
+    g_cos = (cache["scores"] - labels) / batch
+    denom = norm_b * norm_c
     ok = denom > 0
     g_cos = np.where(ok, g_cos, 0.0)
     safe = np.where(ok, denom, 1.0)
-    nb3 = np.where(ok, cache.norm_b ** 3 * cache.norm_c, 1.0)
-    nc3 = np.where(ok, cache.norm_c ** 3 * cache.norm_b, 1.0)
+    nb3 = np.where(ok, norm_b ** 3 * norm_c, 1.0)
+    nc3 = np.where(ok, norm_c ** 3 * norm_b, 1.0)
     # Each side's own term at its own width; the cross term only over the
     # positions both sides have.
-    g_rb = -(g_cos * cache.dot / nb3)[:, None] * rb
-    g_rc = -(g_cos * cache.dot / nc3)[:, None] * rc
+    g_rb = -(g_cos * dot / nb3)[:, None] * rb
+    g_rc = -(g_cos * dot / nc3)[:, None] * rc
     shared = min(rb.shape[1], rc.shape[1])
     cross = (g_cos / safe)[:, None]
     g_rb[:, :shared] += cross * rc[:, :shared]
     g_rc[:, :shared] += cross * rb[:, :shared]
     del rb, rc
-    # Padded rows of g_e_b are left unmasked: _bilstm_back never reads them.
+    # Padded rows of g_e_b are left unmasked: BPTT never reads them.
     # g_e_b grows in g_rb's buffer and the logits' gradient in g_alpha's.
-    g_att = g_rc.reshape(e_c.shape) * cache.desc_mask[:, :, None]
+    g_att = g_rc.reshape(e_c.shape) * cache["desc_mask"][:, :, None]
     del g_rc
     g_alpha = e_b @ g_att.transpose(0, 2, 1)
     inner = (alpha * g_alpha).sum(axis=1, keepdims=True)
@@ -433,21 +408,26 @@ def _backward_batch(cache: _ForwardCache, labels: np.ndarray) -> np.ndarray:
     # BPTT is linear in the output gradient, so each distinct row runs it once
     # on its copies' gradients summed: the first copy assigned, each later one
     # added in stacked row order (bug rows, then description rows).
-    inverse = cache.inverse
-    first = np.unique(inverse, return_index=True)[1]
+    lstm_cache, table, tokens, where, sizes, keep = cache.pop("bilstm")
+    inverse = cache["inverse"]
     width_b, width_c = g_e_b.shape[1], g_e_c.shape[1]
-    g_e = np.zeros((len(first), max(width_b, width_c), g_e_b.shape[2]))
+    g_e = np.zeros((len(keep), max(width_b, width_c), g_e_b.shape[2]))
     # Distinct rows are numbered in order of first occurrence, so those first
     # met among the bug rows come first.
-    on_bug = np.count_nonzero(first < batch)
-    g_e[:on_bug, :width_b] = g_e_b[first[:on_bug]]
-    g_e[on_bug:, :width_c] = g_e_c[first[on_bug:] - batch]
-    for row in np.setdiff1d(np.arange(2 * batch), first, assume_unique=True).tolist():
+    on_bug = np.count_nonzero(keep < batch)
+    g_e[:on_bug, :width_b] = g_e_b[keep[:on_bug]]
+    g_e[on_bug:, :width_c] = g_e_c[keep[on_bug:] - batch]
+    for row in np.setdiff1d(np.arange(2 * batch), keep, assume_unique=True).tolist():
         if row < batch:
             g_e[inverse[row], :width_b] += g_e_b[row]
         else:
             g_e[inverse[row], :width_c] += g_e_c[row - batch]
-    return g_e
+    # BPTT reads only the packed state gradients: every other large array
+    # goes before it runs.
+    del g_rb, g_e_b, g_e_c
+    g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
+    del g_e
+    return _lstm_back(model.params, lstm_cache, g_states, sizes, table, tokens)
 
 
 def stack_examples(examples: list[BatchExample]):
@@ -486,12 +466,7 @@ def batch_loss_and_gradients(model: QaModel, table: np.ndarray, bug_ids, desc_id
     scores, cache = _forward_batch(model, table, bug_ids, desc_ids)
     y = np.asarray(labels, dtype=np.float64)
     losses = -(y * np.log(scores) + (1.0 - y) * np.log(1.0 - scores))
-    # _backward_batch frees attention's arrays before the copies' gradients
-    # are summed. No name here holds the output gradient, so _bilstm_back
-    # frees it before BPTT runs (on CPython 3.11 and later, where a call
-    # moves its arguments into the callee's frame).
-    return float(losses.mean()), _bilstm_back(model, cache.bilstm_cache,
-                                              _backward_batch(cache, y))
+    return float(losses.mean()), _backward_batch(model, cache, y)
 
 
 class Adam:

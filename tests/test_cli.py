@@ -461,6 +461,50 @@ def test_evaluate_writes_null_for_undefined_metrics(tmp_path, capsys):
     assert report["at_threshold"]["minus_recall"] is None
 
 
+def with_token_free_text(corpus, tmp_path, kind, key, value, **text):
+    """A copy of ``corpus`` whose ``kind`` record with ``key == value`` takes
+    the token-free ``text`` fields."""
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    for record in records:
+        if record["kind"] == kind and record[key] == value:
+            record.update(text)
+    return write_jsonl(tmp_path / "token-free.jsonl", records)
+
+
+def test_crossval_and_evaluate_skip_a_token_free_description(trained_checkpoint, small_corpus,
+                                                             tmp_path, capsys):
+    # "!!!" has no token and would score 0.5, which the default threshold
+    # calls correct: its patch gives neither a positive nor a mismatch.
+    path = with_token_free_text(small_corpus, tmp_path, "description", "patch_id",
+                                "patch-0000-0", text="!!!")
+    code, _, err = run_cli(capsys, ["crossval", "--dataset", path, "--k", "3",
+                                    "--out", tmp_path / "cv", *FAST_MODEL])
+    assert code == 0, err
+    code, _, err = run_cli(capsys, ["evaluate", "--model", trained_checkpoint,
+                                    "--dataset", path, "--out", tmp_path / "eval"])
+    assert code == 0, err
+    for run in ("cv", "eval"):
+        patch_ids = [key[0] for key in read_score_rows(tmp_path / run / "scores.csv")]
+        assert len(patch_ids) == 58  # 30 positives and 30 mismatches, less two
+        assert "patch-0001-0" in patch_ids
+        skipped = ("patch-0000-0", "mismatch:patch-0000-0:")
+        assert not [patch_id for patch_id in patch_ids if patch_id.startswith(skipped)]
+
+
+@pytest.mark.parametrize("command", ["crossval", "evaluate"])
+def test_a_token_free_report_owning_a_correct_patch_fails(trained_checkpoint, small_corpus,
+                                                          tmp_path, capsys, command):
+    path = with_token_free_text(small_corpus, tmp_path, "bug", "bug_id", "bug-0000",
+                                title="!!!", body="-- ?")
+    flags = (["--k", "3", *FAST_MODEL] if command == "crossval"
+             else ["--model", trained_checkpoint])
+    code, _, err = run_cli(capsys, [command, "--dataset", path, "--out", tmp_path / "out",
+                                    *flags])
+    assert code == 1
+    assert err == ("error: pairing: bug report 'bug-0000' has no token but owns correct "
+                   "patch 'patch-0000-0'\n")
+
+
 def test_evaluate_computes_its_auc_once(trained_checkpoint, small_corpus, tmp_path, capsys,
                                        monkeypatch):
     calls = []

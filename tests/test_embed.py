@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from patchqa.embed import (
     Embedding,
     TokenSequence,
+    has_token,
     prepare,
     standardize,
     text_vector,
@@ -45,6 +46,11 @@ def test_tokenize_preserves_duplicates():
 @given(st.text(max_size=60))
 def test_tokenize_matches_reference_oracle(text):
     assert list(tokenize(text).tokens) == reference_split(text)
+
+
+@given(st.text(max_size=60))
+def test_has_token_agrees_with_tokenize(text):
+    assert has_token(text) == bool(tokenize(text).tokens)
 
 
 @given(st.text(max_size=60))

@@ -95,8 +95,24 @@ def test_unparseable_diff_without_description_is_skipped(tmp_path):
 def test_empty_bug_text_with_correct_patch_raises(tmp_path):
     ds = load(tmp_path, [bug("B-1", title="", body=""), patch("P-1", "B-1"),
                          description("P-1")])
-    with pytest.raises(ValueError, match="B-1"):
+    with pytest.raises(ValueError, match="'B-1' has no token"):
         positives(ds)
+
+
+def test_token_free_bug_text_with_correct_patch_raises(tmp_path):
+    ds = load(tmp_path, [bug("B-1", title="!!!", body="-- ?"), patch("P-1", "B-1"),
+                         description("P-1")])
+    with pytest.raises(ValueError, match="'B-1' has no token"):
+        positives(ds)
+
+
+def test_token_free_description_is_skipped(tmp_path):
+    # A description with text but no token would score 0.5 whatever its report;
+    # its patch is left out like one without a description, not summarized.
+    ds = load(tmp_path, [bug("B-1"), bug("B-2"), patch("P-1", "B-1"), patch("P-2", "B-2"),
+                         description("P-1", text="!!! --"), description("P-2")])
+    assert resolve_description(ds, ds.patches["P-1"]) is None
+    assert [ex.patch_id for ex in build_examples(ds, 0)] == ["P-2"]
 
 
 # --- random mismatches --------------------------------------------------------

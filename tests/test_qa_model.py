@@ -104,7 +104,7 @@ def test_batched_bilstm_matches_per_step_reference():
     table = np.vstack([np.zeros((1, model.input_dim)), rows[:5].reshape(-1, model.input_dim)])
     positions = np.arange(1, 5 * n + 1).reshape(5, n)
     ids = np.where(np.arange(n) < lengths[:, None], positions[[0, 1, 2, 3, 4, 4]], 0)
-    distinct, inverse, (_, _, tokens, where, sizes) = qa_model._bilstm_run(
+    distinct, inverse, (_, _, tokens, where, sizes, keep) = qa_model._bilstm_run(
         model, lengths, table, ids)
     assert distinct.shape == (5, n, 2 * hidden)
     e = distinct[inverse]
@@ -118,6 +118,7 @@ def test_batched_bilstm_matches_per_step_reference():
     # running rows shrink step by step and cover their real steps; each real
     # (distinct row, step) is read once per direction, and no padding is.
     assert inverse.tolist() == [0, 1, 2, 3, 4, 4]
+    assert keep.tolist() == [0, 1, 2, 3, 4]
     distinct = lengths[:5]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert sum(sizes) == distinct.sum()
@@ -366,7 +367,7 @@ def test_attention_spans_each_sides_own_width(n_bugs, n_descs):
                 for b, d in zip(n_bugs, n_descs)]
     bug_ids, desc_ids, _ = stack_examples(examples)
     _, cache = qa_model._forward_batch(model, table, bug_ids, desc_ids)
-    assert cache.alpha.shape == (2, max(n_bugs), max(n_descs))
+    assert cache["alpha"].shape == (2, max(n_bugs), max(n_descs))
 
 
 # --- loss ---------------------------------------------------------------------
@@ -541,7 +542,7 @@ def test_duplicate_rows_run_once(lstm_inputs, case):
     distinct = np.unique(stacked, axis=0)
     assert len(distinct) == len(stacked) - (2 if case == "bug-repeated" else 1)
     _, cache = qa_model._forward_batch(model, table, bug_ids, desc_ids)
-    assert int(cache.inverse.max()) + 1 == len(distinct)
+    assert int(cache["inverse"].max()) + 1 == len(distinct)
     lstm_inputs.clear()
     loss_value, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     batched = score_many(model, examples, table)
@@ -562,28 +563,32 @@ def test_duplicate_rows_run_once(lstm_inputs, case):
 
 @pytest.mark.parametrize("case", ["bug-repeated", "cross-side", "all-padding"])
 def test_bilstm_output_and_gradient_stay_at_distinct_rows(monkeypatch, case):
-    # The BiLSTM's output, and the gradient BPTT receives for it, hold one row
-    # per distinct sequence of the stacked batch, not one per stacked row.
+    # The BiLSTM's output holds one row per distinct sequence of the stacked
+    # batch, not one per stacked row, and BPTT receives the packed gradient of
+    # those rows' real positions only.
     model, table, examples = duplicate_batch(case)
     bug_ids, desc_ids, labels = stack_examples(examples)
-    distinct = len(np.unique(np.concatenate([bug_ids, desc_ids]), axis=0))
+    stacked = np.concatenate([bug_ids, desc_ids])
+    distinct = np.unique(stacked, axis=0)
     outputs, gradients = [], []
-    bilstm_run, bilstm_back = qa_model._bilstm_run, qa_model._bilstm_back
+    bilstm_run, lstm_back = qa_model._bilstm_run, qa_model._lstm_back
 
     def run(*args):
         e, inverse, cache = bilstm_run(*args)
         outputs.append(e.shape)
         return e, inverse, cache
 
-    def back(model, cache, g_e):
-        gradients.append(g_e.shape)
-        return bilstm_back(model, cache, g_e)
+    def back(params, cache, g_states, *args):
+        gradients.append(g_states.shape)
+        return lstm_back(params, cache, g_states, *args)
 
     monkeypatch.setattr(qa_model, "_bilstm_run", run)
-    monkeypatch.setattr(qa_model, "_bilstm_back", back)
+    monkeypatch.setattr(qa_model, "_lstm_back", back)
     batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-    width = max(np.count_nonzero(bug_ids, axis=1).max(), np.count_nonzero(desc_ids, axis=1).max())
-    assert outputs == gradients == [(distinct, width, 2 * model.config.hidden_size)]
+    width = np.count_nonzero(stacked, axis=1).max()
+    hidden = model.config.hidden_size
+    assert outputs == [(len(distinct), width, 2 * hidden)]
+    assert gradients == [(2, np.count_nonzero(distinct), hidden)]
 
 
 def training_step_peak(seed, batch, bug_rows, width, desc_len, dim, hidden) -> int:
