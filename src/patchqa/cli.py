@@ -135,17 +135,14 @@ def _thresholds(raw, source: str) -> tuple[float, ...]:
 
 def _given(args, cls) -> dict:
     """The fields of ``cls`` set by options of the running subcommand, each
-    from its flag, else from the config file."""
+    from its flag, else from the config file (``main`` filled those in)."""
     given = {}
     for flag, (owner, name, _) in _SETTINGS.items():
-        dest = flag[2:].replace("-", "_")
-        value, source = getattr(args, dest, None), flag
-        if value is None:
-            value, source = getattr(args, "_config_values", {}).get(dest), f"config: {dest}"
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if owner is not cls or value is None:
             continue
-        if name == "thresholds":
-            value = _thresholds(value, source)
+        if name == "thresholds" and isinstance(value, str):
+            value = _thresholds(value, flag)
         if value != "":  # an empty --embeddings counts as not given
             given[name] = value
     return given
@@ -287,23 +284,14 @@ def cmd_hypothesis(args) -> int:
     return 0
 
 
-@functools.cache
-def _option_types() -> dict[str, dict]:
-    """The argparse type of each option, by subcommand and option name."""
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.dest: a.type for a in sp._actions
-                   if not isinstance(a, argparse._HelpAction)}
-            for name, sp in commands.choices.items()}
+# Options read only from their flags (an input or output path or text), so a
+# config value for one is an error rather than a value never read.
+_FLAG_ONLY = {"dataset", "out", "model", "model_out", "bug_text", "bug_file",
+              "description", "diff_file"}
 
-
-# Config-file keys: the settings. Every other option (an input or output path
-# or text) is read only from its flag, so a config value for one is an error.
-_CONFIG_KEYS = {flag[2:].replace("-", "_") for flag in _SETTINGS}
-
-# JSON types a config value may take, by the argparse type of its option.
-_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-                 None: (str, "a string")}
+# JSON types a config value may take, by the type of its setting's default;
+# any other default (None, a tuple) takes a string.
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number")}
 
 
 def _one_key_per_option(pairs) -> dict:
@@ -319,12 +307,12 @@ def _one_key_per_option(pairs) -> dict:
     return dict(pairs)
 
 
-def _config_values(path, command: str) -> dict:
-    """The config-file values of ``command``'s options, keyed by option name.
-    Every key must name an option of some subcommand, so one file may serve
-    several, and must be one of ``_CONFIG_KEYS``; the keys of other
-    subcommands' options are dropped. A value must have its option's type;
-    JSON true is no number, and ``thresholds`` may also be a list of numbers."""
+def _apply_config(args, path) -> None:
+    """Fill in from the config file at ``path`` each setting of the running
+    subcommand that no flag gave. Every key must name a setting, so one file
+    may serve several subcommands; a subcommand drops the keys it has no
+    option for. A value must have its setting's type; JSON true is no number,
+    and ``thresholds`` may also be a list of numbers."""
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"),
                             object_pairs_hook=_one_key_per_option)
@@ -332,31 +320,31 @@ def _config_values(path, command: str) -> dict:
         raise ValueError(f"config: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError("config: expected a JSON object")
-    known = {dest for types in _option_types().values() for dest in types}
-    option_types = _option_types()[command]
-    out = {}
     for key, value in values.items():
         name = key.replace("-", "_")
-        if name not in known:
-            raise ValueError(f"config: unknown option {key!r}")
-        if name not in _CONFIG_KEYS:
-            raise ValueError(f"config: {key!r} may only be given as a flag")
-        if name not in option_types:
+        setting = _SETTINGS.get("--" + key.replace("_", "-"))
+        if setting is None:
+            raise ValueError(f"config: {key!r} may only be given as a flag"
+                             if name in _FLAG_ONLY else f"config: unknown option {key!r}")
+        if not hasattr(args, name):
             continue
-        (accepted, expected), items = _CONFIG_TYPES[option_types[name]], [value]
+        owner, attr, _ = setting
+        accepted, expected = _CONFIG_TYPES.get(type(getattr(owner, attr)), (str, "a string"))
+        items = [value]
         if name == "thresholds" and isinstance(value, list):
             accepted, expected, items = (int, float), "a list of numbers", value
         if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
             raise ValueError(f"config: {name} must be {expected}, not {json.dumps(value)}")
-        out[name] = value
-    return out
+        if getattr(args, name) is None:
+            setattr(args, name, _thresholds(value, f"config: {name}")
+                    if name == "thresholds" else value)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args._config_values = _config_values(args.config, args.command)
+            _apply_config(args, args.config)
         return args.func(args)
     except (DatasetError, PipelineError, qa_model.TrainingError, ValueError,
             OSError) as exc:

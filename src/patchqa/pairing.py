@@ -90,13 +90,17 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
     A correct patch gives a label-1 example with its own bug's report, an
     incorrect one a label-0 example. Each developer patch also gives a
     label-0 mismatch with the report of a bug drawn uniformly from all other
-    bugs. A correct patch whose report has no token is an error. Mismatches
-    are skipped when fewer than two bugs have a developer description;
-    unlabeled patches never contribute examples of their own.
+    bugs whose report has a token. A report with no token would score 0.5,
+    which the default threshold calls correct, so its bug gives no example:
+    a correct patch of it is an error, and its other patches are left out.
+    Mismatches are skipped when fewer than two bugs have a developer
+    description; unlabeled patches never contribute examples of their own.
     One pass in dataset order resolves the description of each patch that
     can contribute (a labeled patch or any developer patch) once; patches
     without one are left out.
     """
+    bug_ids = [bug_id for bug_id, bug in dataset.bugs.items() if has_token(bug.text)]
+    position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
     positives, negatives, developer = [], [], []
     for patch in dataset.patches.values():
         if patch.label is Label.UNLABELED and not patch.origin.is_developer:
@@ -104,13 +108,15 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
         text = resolve_description(dataset, patch)
         if text is None:
             continue
-        bug = dataset.bugs[patch.bug_id]
-        if patch.label is Label.CORRECT:
-            if not has_token(bug.text):
+        if patch.bug_id not in position:
+            if patch.label is Label.CORRECT:
                 raise ValueError(
                     f"bug report {patch.bug_id!r} has no token but owns correct patch "
                     f"{patch.patch_id!r}"
                 )
+            continue
+        bug = dataset.bugs[patch.bug_id]
+        if patch.label is Label.CORRECT:
             kind = (ExampleKind.DEV_POSITIVE if patch.origin.is_developer
                     else ExampleKind.APR_POSITIVE)
             positives.append(QaExample(patch.bug_id, patch.patch_id, bug.text, text, kind))
@@ -122,8 +128,6 @@ def build_examples(dataset: Dataset, mismatch_seed: int) -> list[QaExample]:
     examples = positives + negatives
     if len({patch.bug_id for patch, _ in developer}) < 2:
         return examples
-    bug_ids = list(dataset.bugs)
-    position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
     rng = np.random.default_rng(mismatch_seed)
     for patch, text in developer:
         wrong = bug_ids[draw_other(rng, len(bug_ids), position[patch.bug_id])]

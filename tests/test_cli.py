@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patchqa import metrics, pipeline, qa_model, synth
-from patchqa.cli import main
+from patchqa.cli import _FLAG_ONLY, _SETTINGS, build_parser, main
 from patchqa.corpus import load_dataset
 
 from conftest import (bug, description, patch, read_fold_plan, rewrite_checkpoint,
@@ -505,6 +506,31 @@ def test_a_token_free_report_owning_a_correct_patch_fails(trained_checkpoint, sm
                    "patch 'patch-0000-0'\n")
 
 
+def test_a_token_free_report_owning_no_correct_patch_gives_no_example(tmp_path, capsys):
+    # C's report "!!! --" has no token and would score 0.5 with any patch,
+    # which the default threshold calls correct: its incorrect patch gives no
+    # example, and no mismatch borrows its report.
+    path = write_jsonl(tmp_path / "d.jsonl", [
+        bug("A", title="parser crash on empty header"),
+        bug("B", title="widget overflow in layout"),
+        bug("C", title="!!!", body="--"),
+        patch("P-A", "A"), description("P-A", text="guard the empty header"),
+        patch("P-B", "B"), description("P-B", text="clamp the layout width"),
+        patch("P-C", "C", origin="apr:T", label="incorrect"),
+    ])
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run_cli(capsys, ["train", "--dataset", path, "--model-out", ckpt,
+                                      *FAST_MODEL])
+    assert code == 0, err
+    assert json.loads(out)["examples"] == 4
+    code, _, err = run_cli(capsys, ["evaluate", "--model", ckpt, "--dataset", path,
+                                    "--out", tmp_path / "eval"])
+    assert code == 0, err
+    assert sorted(read_score_rows(tmp_path / "eval" / "scores.csv")) == [
+        ("P-A", "A", "1"), ("P-B", "B", "1"), ("mismatch:P-A:B", "B", "0"),
+        ("mismatch:P-B:A", "A", "0")]
+
+
 def test_evaluate_computes_its_auc_once(trained_checkpoint, small_corpus, tmp_path, capsys,
                                        monkeypatch):
     calls = []
@@ -847,6 +873,29 @@ def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_pat
     assert from_config == predict_score(capsys, trained_checkpoint, "--hash-seed", "3")
     assert saved == predict_score(capsys, trained_checkpoint, "--hash-seed", "0",
                                   config=config)
+
+
+def test_an_empty_embeddings_flag_counts_as_not_given(trained_checkpoint, tmp_path, capsys):
+    # The flag beats the config file, and then counts as not given: predict
+    # reads the checkpoint's embedding, not the config's vector file.
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("dim 8\nalpha0001 " + " ".join(["1"] * 8) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, {"embeddings": str(vectors)})
+    saved = predict_score(capsys, trained_checkpoint)
+    assert predict_score(capsys, trained_checkpoint, config=config) != saved
+    assert predict_score(capsys, trained_checkpoint, "--embeddings", "", config=config) == saved
+
+
+def test_every_option_is_a_setting_or_read_only_from_its_flag():
+    # A new input flag must join _FLAG_ONLY, else a config key for it would
+    # read "unknown option" instead of "may only be given as a flag".
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {action.dest for sp in commands.choices.values() for action in sp._actions
+               if not isinstance(action, argparse._HelpAction)}
+    settings = {flag[2:].replace("-", "_") for flag in _SETTINGS}
+    assert not settings & _FLAG_ONLY
+    assert options == settings | _FLAG_ONLY
 
 
 @pytest.mark.parametrize("embedding, message", [

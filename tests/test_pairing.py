@@ -115,6 +115,22 @@ def test_token_free_description_is_skipped(tmp_path):
     assert [ex.patch_id for ex in build_examples(ds, 0)] == ["P-2"]
 
 
+def test_token_free_report_owning_no_correct_patch_gives_no_example(tmp_path):
+    # Its report would score 0.5 with any patch, so neither its incorrect patch
+    # nor a mismatch borrowing its report enters.
+    ds = load(tmp_path, [
+        bug("B-1", title="first bug title"), bug("B-2", title="second bug title"),
+        bug("B-3", title="!!!", body="--"),
+        patch("P-1", "B-1"), patch("P-2", "B-2"),
+        patch("P-3", "B-3", origin="apr:T", label="incorrect"),
+        description("P-1"), description("P-2"), description("P-3"),
+    ])
+    for seed in range(20):
+        examples = build_examples(ds, seed)
+        assert [ex.patch_id for ex in examples] == [
+            "P-1", "P-2", "mismatch:P-1:B-2", "mismatch:P-2:B-1"]
+
+
 # --- random mismatches --------------------------------------------------------
 
 
