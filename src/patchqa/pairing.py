@@ -25,7 +25,7 @@ __all__ = [
     "QaExample",
     "build_examples",
     "draw_other",
-    "fold_split",
+    "fold_groups",
     "make_fold_plan",
     "resolve_description",
 ]
@@ -169,15 +169,7 @@ def make_fold_plan(bug_ids, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
-def fold_split(examples: list[QaExample], plan: FoldPlan, test_group: int):
-    """Partition examples: test iff the example's bug group equals test_group."""
-    if not 0 <= test_group < plan.k:
-        raise ValueError(f"test_group must lie in [0, {plan.k})")
-    train: list[QaExample] = []
-    test: list[QaExample] = []
-    for ex in examples:
-        group = plan.assignments.get(ex.bug_id)
-        if group is None:
-            raise ValueError(f"bug {ex.bug_id!r} has no fold assignment")
-        (test if group == test_group else train).append(ex)
-    return train, test
+def fold_groups(examples: list[QaExample], plan: FoldPlan) -> np.ndarray:
+    """Each example's fold group: that of the bug whose report it holds. Fold g
+    tests the examples of group g and trains on the rest."""
+    return np.array([plan.assignments[ex.bug_id] for ex in examples], dtype=int)

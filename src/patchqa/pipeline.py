@@ -27,7 +27,6 @@ __all__ = [
     "CrossvalResult",
     "DEFAULT_SWEEP",
     "EmbeddingSpec",
-    "FoldOutcome",
     "PipelineError",
     "RunConfig",
     "dataset_summary",
@@ -190,19 +189,16 @@ def _embed_examples(config: RunConfig, examples):
 
 
 @dataclass
-class FoldOutcome:
-    fold: int
-    model: qa_model.QaModel
-    test_examples: list  # pairing.QaExample, aligned with scores
-    scores: np.ndarray
-
-
-@dataclass
 class CrossvalResult:
+    """One row per example: ``groups[i]`` is the fold that tested ``examples[i]``
+    and ``scores[i]`` its held-out score; ``models[g]`` is fold g's model."""
+
     report: dict
     plan: pairing.FoldPlan
-    score_rows: list[tuple[str, str, int, float]]  # (patch_id, bug_id, label, score)
-    folds: list[FoldOutcome]
+    examples: list  # pairing.QaExample
+    groups: np.ndarray
+    scores: np.ndarray
+    models: tuple  # qa_model.QaModel
 
 
 def _score_rows(examples, scores) -> list[tuple[str, str, int, float]]:
@@ -292,35 +288,34 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
     bug_ids = {ex.bug_id for ex in examples}
     plan = _stage("fold planning", pairing.make_fold_plan, bug_ids, config.k,
                   config.fold_seed)
+    groups, labels = pairing.fold_groups(examples, plan), _labels(examples)
     batch, table, metadata = _embed_examples(config, examples)
-    vectors = dict(zip(examples, batch))
 
     def train_fold(group):
-        train_examples, test_examples = pairing.fold_split(examples, plan, group)
-        train_batch = [vectors[ex] for ex in train_examples]
+        test = groups == group
         fold_model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
-        history = _stage(f"training fold {group}", qa_model.train,
-                         fold_model, train_batch, table)
-        scores = qa_model.score_many(fold_model, [vectors[ex] for ex in test_examples], table)
-        labels = _labels(test_examples)
-        at = metrics.threshold_sweep(scores, labels, (config.threshold,))[0]
+        history = _stage(f"training fold {group}", qa_model.train, fold_model,
+                         [row for row, held_out in zip(batch, test) if not held_out], table)
+        scores = qa_model.score_many(
+            fold_model, [row for row, held_out in zip(batch, test) if held_out], table)
+        at = metrics.threshold_sweep(scores, labels[test], (config.threshold,))[0]
         return {
             "fold": group,
-            "train_examples": len(train_batch),
-            "test_examples": len(test_examples),
-            "auc": metrics.auc(scores, labels),
+            "train_examples": len(examples) - len(scores),
+            "test_examples": len(scores),
+            "auc": metrics.auc(scores, labels[test]),
             "f1": at["f1"],
             "plus_recall": at["plus_recall"],
             "minus_recall": at["minus_recall"],
             "loss_history": history,
-        }, FoldOutcome(group, fold_model, test_examples, scores)
-    per_fold, folds = map(list, zip(*_train_folds(config.k, train_fold, progress)))
-    pooled = [ex for fold in folds for ex in fold.test_examples]
-    scores, labels = np.concatenate([fold.scores for fold in folds]), _labels(pooled)
-    positives = sum(1 for ex in examples if ex.label == 1)
+        }, fold_model, scores
+    per_fold, models, fold_scores = zip(*_train_folds(config.k, train_fold, progress))
+    scores = np.empty(len(examples))  # fold g scored its rows in example order
+    scores[np.argsort(groups, kind="stable")] = np.concatenate(fold_scores)
+    positives = int(labels.sum())
     report = {
         "config": config.describe(),
-        "per_fold": per_fold,
+        "per_fold": list(per_fold),
         "mean": _mean_over_folds(per_fold),
         "sweep": metrics.threshold_sweep(scores, labels, config.thresholds),
         "statistics": {
@@ -332,8 +327,7 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
             "duplicates_removed": removed,
         },
     }
-    return CrossvalResult(report=report, plan=plan, score_rows=_score_rows(pooled, scores),
-                          folds=folds)
+    return CrossvalResult(report, plan, examples, groups, scores, models)
 
 
 def write_json(obj, path) -> None:
@@ -353,11 +347,13 @@ def write_crossval_outputs(result: CrossvalResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(result.report, out / "report.json")
-    write_scores_csv(result.score_rows, out / "scores.csv")
+    order = np.argsort(result.groups, kind="stable")
+    write_scores_csv(_score_rows([result.examples[i] for i in order], result.scores[order]),
+                     out / "scores.csv")
     (out / "foldplan.json").write_text(result.plan.to_json(), encoding="utf-8")
-    written = {f"model_fold{fold.fold}.ckpt" for fold in result.folds}
-    for fold in result.folds:
-        qa_model.save_model(fold.model, out / f"model_fold{fold.fold}.ckpt")
+    written = {f"model_fold{fold}.ckpt" for fold in range(len(result.models))}
+    for fold, model in enumerate(result.models):
+        qa_model.save_model(model, out / f"model_fold{fold}.ckpt")
     # An earlier run into this directory may have had more folds.
     for path in out.glob("model_fold*.ckpt"):
         if re.fullmatch(r"model_fold\d+\.ckpt", path.name) and path.name not in written:
@@ -414,10 +410,12 @@ def run_hypothesis(ds: corpus.Dataset, provider, seed: int) -> dict:
     Euclidean distances of matched (bug report, first developer description)
     pairs against those of seeded random re-pairings, compared by
     ``metrics.mww_test``. The matched-text hypothesis holds when the matched
-    distances are stochastically smaller (small p, smaller median)."""
+    distances are stochastically smaller (small p, smaller median). A bug whose
+    report has no token is left out, as in ``pairing.build_examples``."""
     first: dict[str, str] = {}  # each bug's first developer description
     for patch in ds.patches.values():
-        if patch.origin.is_developer and patch.bug_id not in first:
+        if (patch.origin.is_developer and patch.bug_id not in first
+                and embed.has_token(ds.bugs[patch.bug_id].text)):
             text = pairing.resolve_description(ds, patch)
             if text is not None:
                 first[patch.bug_id] = text
@@ -464,22 +462,22 @@ def mismatch_ablation(result: CrossvalResult, provider, threshold: float,
     rng = np.random.default_rng(seed)
     before: list[float] = []
     after: list[float] = []
-    for fold in result.folds:
-        bug_texts: dict[str, str] = {}
-        for ex in fold.test_examples:
-            bug_texts.setdefault(ex.bug_id, ex.bug_text)
+    for group, model in enumerate(result.models):
+        test = np.flatnonzero(result.groups == group)
+        tested = [result.examples[i] for i in test]
+        bug_texts = {ex.bug_id: ex.bug_text for ex in tested}  # one text per bug
         if len(bug_texts) < 2:
             continue
         bug_ids = list(bug_texts)
         position = {bug_id: i for i, bug_id in enumerate(bug_ids)}
         swapped = []
-        for idx, ex in enumerate(fold.test_examples):
-            if ex.label != 1 or fold.scores[idx] < threshold:
+        for ex, score in zip(tested, result.scores[test]):
+            if ex.label != 1 or score < threshold:
                 continue
             wrong = bug_ids[pairing.draw_other(rng, len(bug_ids), position[ex.bug_id])]
             swapped.append(replace(ex, bug_text=bug_texts[wrong]))
-            before.append(float(fold.scores[idx]))
-        after.extend(score_examples(fold.model, swapped, provider).tolist())
+            before.append(float(score))
+        after.extend(score_examples(model, swapped, provider).tolist())
     if not before:
         raise ValueError("no recalled positives available to ablate")
     lost = sum(1 for value in after if value < threshold)

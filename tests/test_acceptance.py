@@ -6,6 +6,7 @@ keyword corpus (module-scoped fixture); determinism is checked by repeating
 that run bit-for-bit.
 """
 
+import csv
 import time
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import pytest
 
 from patchqa import pipeline, qa_model, synth
 from patchqa.metrics import ConfusionMatrix, auc, minus_recall, mww_test, plus_recall
-from patchqa.pairing import build_examples, fold_split
+from patchqa.pairing import build_examples
 from patchqa.qa_model import BatchExample, ModelConfig, QaModel
 
 from conftest import read_fold_plan, token_ids
@@ -206,22 +207,25 @@ def test_criterion_5_leakage_freedom(big_run):
 
     plan = read_fold_plan(
         (Path(big_run.out_dir) / "foldplan.json").read_text(encoding="utf-8"))
+    result = big_run.result
     ds, _ = pipeline.load_deduped(big_run.corpus_path)
-    examples = build_examples(ds, big_run.config.pair_seed)
-    tested = []
+    assert result.examples == build_examples(ds, big_run.config.pair_seed)
+    # Each example was tested by the fold of the bug whose report it holds ...
+    assert result.groups.tolist() == [plan.assignments[ex.bug_id] for ex in result.examples]
+    assert set(result.groups.tolist()) == set(range(plan.k))
     for group in range(plan.k):
-        train_part, test_part = fold_split(examples, plan, group)
-        train_bugs = {ex.bug_id for ex in train_part}
-        test_bugs = {ex.bug_id for ex in test_part}
+        train_bugs = {ex.bug_id for ex, g in zip(result.examples, result.groups) if g != group}
+        test_bugs = {ex.bug_id for ex, g in zip(result.examples, result.groups) if g == group}
         assert not train_bugs & test_bugs
-        tested.extend(ex.patch_id for ex in test_part)
-    assert sorted(tested) == sorted(ex.patch_id for ex in examples)
-    bug_groups = {}
-    for bug_id, group in plan.assignments.items():
-        bug_groups.setdefault(bug_id, set()).add(group)
-    assert all(len(groups) == 1 for groups in bug_groups.values())
+    # ... and scored exactly once.
+    assert len(result.scores) == len(result.examples) == result.report["statistics"]["examples"]
+    assert [fold["test_examples"] for fold in result.report["per_fold"]] == \
+        np.bincount(result.groups, minlength=plan.k).tolist()
+    with open(Path(big_run.out_dir) / "scores.csv", encoding="utf-8", newline="") as fh:
+        scored = [row["patch_id"] for row in csv.DictReader(fh)]
+    assert sorted(scored) == sorted(ex.patch_id for ex in result.examples)
     announce(5, f"train/test bug sets disjoint in all {plan.k} folds; "
-                f"{len(tested)} examples each tested exactly once")
+                f"{len(result.examples)} examples each tested exactly once")
 
 
 # --- criterion 6: statistics oracles ----------------------------------------------

@@ -194,25 +194,27 @@ def read_score_rows(path) -> dict:
 
 def test_evaluate_of_a_fold_checkpoint_repeats_its_crossval_scores(small_corpus, tmp_path,
                                                                    capsys):
-    # The same held-out examples in other chunks: crossval scores fold 0's test
-    # examples alone, evaluate every example of the dataset, 8 at a time.
+    # The same held-out examples in other chunks: crossval scores each fold's test
+    # examples alone, evaluate every example of the dataset, 8 at a time. Every
+    # fold's checkpoint must repeat the crossval score of every row it tested.
     seeds = ["--fold-seed", "7", "--pair-seed", "8", "--model-seed", "9"]
-    code, _, err = run_cli(capsys, ["crossval", "--dataset", small_corpus, "--k", "2",
+    code, _, err = run_cli(capsys, ["crossval", "--dataset", small_corpus, "--k", "3",
                                     "--out", tmp_path / "cv", *seeds, *FAST_MODEL,
                                     "--batch", "8"])
     assert code == 0, err
-    code, _, err = run_cli(capsys, ["evaluate", "--model", tmp_path / "cv" / "model_fold0.ckpt",
-                                    "--dataset", small_corpus, "--pair-seed", "8",
-                                    "--out", tmp_path / "eval"])
-    assert code == 0, err
     plan = read_fold_plan((tmp_path / "cv" / "foldplan.json").read_text())
     crossval = read_score_rows(tmp_path / "cv" / "scores.csv")
-    evaluated = read_score_rows(tmp_path / "eval" / "scores.csv")
-    assert evaluated.keys() == crossval.keys()
-    fold0 = [key for key in crossval if plan.assignments[key[1]] == 0]
-    assert len(fold0) > 8
-    for key in fold0:
-        assert abs(evaluated[key] - crossval[key]) <= 1e-12, key
+    for fold in range(3):
+        code, _, err = run_cli(capsys, [
+            "evaluate", "--model", tmp_path / "cv" / f"model_fold{fold}.ckpt",
+            "--dataset", small_corpus, "--pair-seed", "8", "--out", tmp_path / f"eval{fold}"])
+        assert code == 0, err
+        evaluated = read_score_rows(tmp_path / f"eval{fold}" / "scores.csv")
+        assert evaluated.keys() == crossval.keys()
+        tested = [key for key in crossval if plan.assignments[key[1]] == fold]
+        assert len(tested) > 8
+        for key in tested:
+            assert abs(evaluated[key] - crossval[key]) <= 1e-12, (fold, key)
 
 
 def use_cpus(monkeypatch, count):
@@ -244,9 +246,11 @@ def test_crossval_outputs_do_not_depend_on_worker_count(small_corpus, tmp_path, 
                                                         monkeypatch):
     # One CPU trains every fold in this process. More CPUs run up to twice as
     # many processes, at most one per fold: k=3 on two CPUs runs three, k=5
-    # runs four. Every count must write the same bytes and report progress in
-    # fold order.
-    for k, cpus, expected_forks in ((3, 1, 0), (3, 2, 2), (3, 3, 2), (5, 1, 0), (5, 2, 3)):
+    # runs four, and so does k=9, whose workers each stream two folds down one
+    # pipe. Every count must write the same bytes and report progress in fold
+    # order.
+    for k, cpus, expected_forks in ((3, 1, 0), (3, 2, 2), (3, 3, 2), (5, 1, 0), (5, 2, 3),
+                                    (9, 1, 0), (9, 2, 3)):
         forks = use_cpus(monkeypatch, cpus)
         out_dir = tmp_path / f"k{k}-cpus{cpus}"
         code, _, err = run_cli(capsys, ["crossval", "--dataset", small_corpus, "--k", k,

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -64,3 +68,59 @@ def test_every_import_is_read():
                 continue
             stale += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in read]
     assert stale == [], "imported, but never read in the importing module"
+
+
+RUNTIME_IMPORTS = r'''
+import json
+import sys
+import sysconfig
+from pathlib import Path
+
+import numpy
+
+before = set(sys.modules)
+from patchqa import cli, synth
+
+work = Path(sys.argv[1])
+corpus, model = str(work / "corpus.jsonl"), str(work / "model.ckpt")
+synth.write_keyword_corpus(corpus, n_bugs=8, seed=1, patches_per_bug=1)
+fast = ["--epochs", "1", "--hidden", "4", "--max-len", "16", "--hash-dim", "8"]
+for argv in (["crossval", "--dataset", corpus, "--k", "2", "--out", str(work / "cv"), *fast],
+             ["train", "--dataset", corpus, "--model-out", model, *fast],
+             ["evaluate", "--model", model, "--dataset", corpus, "--out", str(work / "eval")],
+             ["predict", "--model", model, "--bug-text", "crash on empty input",
+              "--description", "guard against empty input"],
+             ["hypothesis", "--dataset", corpus],
+             ["ingest", "--dataset", corpus]):
+    assert cli.main(argv) == 0, argv
+
+paths = sysconfig.get_paths()
+third_party = [Path(paths[name]).resolve() for name in ("purelib", "platlib")]
+stdlib = [Path(paths[name]).resolve() for name in ("stdlib", "platstdlib")]
+allowed = [Path(numpy.__file__).resolve().parent, Path(cli.__file__).resolve().parent]
+foreign = []
+for name in sorted(set(sys.modules) - before):
+    file = getattr(sys.modules[name], "__file__", None)
+    if file is None:  # built-in or generated, e.g. numpy.random's cython_runtime
+        continue
+    path = Path(file).resolve()
+    if any(path.is_relative_to(root) for root in allowed):
+        continue
+    if (any(path.is_relative_to(root) for root in stdlib)
+            and not any(path.is_relative_to(root) for root in third_party)):
+        continue
+    foreign.append(f"{name} ({path})")
+print(json.dumps(foreign))
+'''
+
+
+def test_runtime_imports_only_numpy(tmp_path):
+    # The test extras install scipy; an import of it (or of anything else
+    # outside numpy and the standard library) in src/ would pass every other test.
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", RUNTIME_IMPORTS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -14,7 +14,7 @@ from patchqa.pairing import (
     QaExample,
     build_examples,
     draw_other,
-    fold_split,
+    fold_groups,
     make_fold_plan,
     resolve_description,
 )
@@ -281,6 +281,30 @@ def test_hypothesis_resolves_only_each_bugs_first_developer_description(tmp_path
     assert summaries == []
 
 
+def test_hypothesis_leaves_out_a_token_free_report(tmp_path, monkeypatch):
+    # C's report "!!!\n--" has no token: its zero mean-token vector would enter
+    # both distance lists. Like build_examples, the study leaves C out and
+    # never resolves its unlabeled developer patch's description.
+    ds = load(tmp_path, [
+        bug("A", title="crash in parser"), bug("B", title="slow table export"),
+        bug("C", title="!!!", body="--"), bug("D", title="login button ignored"),
+        patch("P-A", "A"), patch("P-B", "B"), patch("P-C", "C", label="unlabeled"),
+        patch("P-D", "D"),
+        *(description(f"P-{name}", text=f"guard word{name}") for name in "ABCD"),
+    ])
+    calls = Counter()
+
+    def counting(dataset, record):
+        calls[record.patch_id] += 1
+        return resolve_description(dataset, record)
+
+    monkeypatch.setattr(pairing, "resolve_description", counting)
+    study = pipeline.run_hypothesis(ds, Embedding(8, seed=0), seed=0)
+    assert study["pairs"] == 3
+    assert len(study["original"]["distances"]) == len(study["random"]["distances"]) == 3
+    assert calls == {"P-A": 1, "P-B": 1, "P-D": 1}
+
+
 def hypothesis_corpus(tmp_path, repeat_bug_text=False):
     """Four bugs, each with one described developer patch."""
     titles = ["crash on empty input", "parser fails on header", "slow export of tables",
@@ -394,44 +418,30 @@ def synthetic_examples(n_bugs=30, per_bug=2):
 def test_each_example_tested_exactly_once_across_rounds():
     examples = synthetic_examples(30)
     plan = make_fold_plan({ex.bug_id for ex in examples}, 10, seed=4)
-    seen = []
+    groups = fold_groups(examples, plan)
+    assert groups.shape == (len(examples),)
+    assert set(groups.tolist()) == set(range(10))  # each example in exactly one group
     for group in range(10):
-        train_part, test_part = fold_split(examples, plan, group)
-        assert len(train_part) + len(test_part) == len(examples)
-        seen.extend(ex.patch_id for ex in test_part)
-        train_bugs = {ex.bug_id for ex in train_part}
-        test_bugs = {ex.bug_id for ex in test_part}
+        train_bugs = {ex.bug_id for ex, g in zip(examples, groups) if g != group}
+        test_bugs = {ex.bug_id for ex, g in zip(examples, groups) if g == group}
+        assert test_bugs
         assert not train_bugs & test_bugs  # the leakage invariant
-    assert sorted(seen) == sorted(ex.patch_id for ex in examples)
 
 
 def test_empty_test_when_no_bug_in_group():
     examples = synthetic_examples(4, per_bug=1)
     plan = FoldPlan(k=5, seed=0, assignments={f"B-{i}": i for i in range(4)})
-    train_part, test_part = fold_split(examples, plan, 4)
-    assert test_part == []
-    assert len(train_part) == 4
-
-
-def test_fold_split_rejects_unknown_bug():
-    examples = synthetic_examples(3, per_bug=1)
-    plan = FoldPlan(k=2, seed=0, assignments={"B-0": 0, "B-1": 1})
-    with pytest.raises(ValueError, match="B-2"):
-        fold_split(examples, plan, 0)
-
-
-def test_fold_split_rejects_bad_group():
-    examples = synthetic_examples(3, per_bug=1)
-    plan = make_fold_plan({ex.bug_id for ex in examples}, 3, seed=0)
-    with pytest.raises(ValueError):
-        fold_split(examples, plan, 3)
+    groups = fold_groups(examples, plan)
+    assert not (groups == 4).any()
+    assert groups.tolist() == [0, 1, 2, 3]
 
 
 def test_mismatch_examples_route_by_borrowed_bug(tmp_path):
     ds = two_bug_dataset(tmp_path)
     borrowed = mismatches(ds, 0)
     plan = make_fold_plan({"B-1", "B-2"}, 2, seed=0)
-    for group in range(2):
-        _, test_part = fold_split(borrowed, plan, group)
-        for ex in test_part:
-            assert plan.assignments[ex.bug_id] == group
+    # P-1's mismatch holds B-2's report and P-2's holds B-1's: each goes to the
+    # group of the report it borrows, not of the bug that owns its description.
+    assert [ex.patch_id for ex in borrowed] == ["mismatch:P-1:B-2", "mismatch:P-2:B-1"]
+    assert fold_groups(borrowed, plan).tolist() == [plan.assignments["B-2"],
+                                                    plan.assignments["B-1"]]
