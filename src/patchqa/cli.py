@@ -219,18 +219,20 @@ def cmd_train(args) -> int:
 
 
 def _predict_provider(args, model: qa_model.QaModel):
-    provider = _embedding_spec(args, model.metadata.get("embedding")).build()
+    """The embedding spec ``model`` is read with, and the table it builds."""
+    spec = _embedding_spec(args, model.metadata.get("embedding"))
+    provider = spec.build()
     if provider.dim != model.input_dim:
         raise ValueError(
             f"embedding dim {provider.dim} does not match model input dim "
             f"{model.input_dim}"
         )
-    return provider
+    return spec, provider
 
 
 def cmd_predict(args) -> int:
     model = qa_model.load_model(args.model)
-    provider = _predict_provider(args, model)
+    _, provider = _predict_provider(args, model)
     if args.bug_text is not None:
         bug_text = args.bug_text
     elif args.bug_file:
@@ -261,8 +263,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     _check_output(args.out, directory=True)
     model = qa_model.load_model(args.model)
-    provider = _predict_provider(args, model)
-    config = RunConfig(dataset=args.dataset, **_given(args, RunConfig))
+    spec, provider = _predict_provider(args, model)
+    config = RunConfig(dataset=args.dataset, embedding=spec, **_given(args, RunConfig))
     report, rows = pipeline.run_evaluate(config, model, provider, args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

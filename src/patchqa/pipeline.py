@@ -67,14 +67,18 @@ class EmbeddingSpec:
         return provider
 
     def describe(self) -> dict:
-        out = {"kind": "file" if self.path else "hash", "dim": self.dim, "seed": self.seed}
+        # A file run hashes the tokens its file lacks, so both kinds name the
+        # hashed-vector scheme.
+        out = {"kind": "file" if self.path else "hash", "dim": self.dim, "seed": self.seed,
+               "scheme": embed.SCHEME}
         if self.path:
             out["path"] = str(self.path)
         return out
 
     @classmethod
     def from_dict(cls, obj) -> "EmbeddingSpec":
-        """The spec ``describe`` wrote; ValueError for any other value."""
+        """The spec ``describe`` wrote; ValueError for any other value,
+        including one written under another hashed-vector scheme."""
         if not isinstance(obj, dict):
             raise ValueError(f"embedding spec must be an object, not {obj!r}")
         spec = cls(**{name: obj[name] for name in ("dim", "seed", "path") if name in obj})
@@ -87,6 +91,10 @@ class EmbeddingSpec:
         if obj.get("kind", kind) != kind:
             raise ValueError(f"embedding kind must be {kind!r} for path {spec.path!r}, "
                              f"not {obj['kind']!r}")
+        # A model trained on another scheme's vectors would score silently wrong.
+        if obj.get("scheme") != embed.SCHEME:
+            found = repr(obj["scheme"]) if "scheme" in obj else "missing"
+            raise ValueError(f"embedding scheme must be {embed.SCHEME!r}, not {found}")
         return spec
 
 
@@ -381,7 +389,8 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     """Score every labeled example of the dataset with a trained model;
     returns the report (metrics at the threshold, the sweep, statistics) and
     the score rows (patch_id, bug_id, label, score). Only the dataset, pair
-    seed and thresholds of ``config`` apply."""
+    seed and thresholds of ``config`` apply; the report records its
+    embedding, the spec ``provider`` was built from."""
     _check_thresholds(config)
     examples, removed = _load_examples(config.dataset, config.pair_seed)
     scores, labels = score_examples(model, examples, provider), _labels(examples)
@@ -390,6 +399,7 @@ def run_evaluate(config: RunConfig, model: qa_model.QaModel, provider,
     report = {
         "config": {
             "dataset": str(config.dataset),
+            "embedding": config.embedding.describe(),
             "model": str(model_path),
             "pair_seed": config.pair_seed,
             "threshold": config.threshold,

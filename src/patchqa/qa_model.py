@@ -335,6 +335,11 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     # stacked; each side gathers its rows' outputs at its own width.
     e, inverse, bilstm = _bilstm_run(model, lengths, table, ids)
     e_b, e_c = e[inverse[:batch], :width_b], e[inverse[batch:], :width_c]
+    # The bug rows' norms, taken at their distinct rows: the first ones, as
+    # rows are numbered in order of first occurrence and bug rows come first.
+    # Each norm reduces the same contiguous values that its gathered row holds.
+    on_bug = int(inverse[:batch].max()) + 1
+    norm_b = np.linalg.norm(e[:on_bug, :width_b].reshape(on_bug, -1), axis=1)[inverse[:batch]]
     del e  # attention reads only the gathered sides
     # The masked softmax over the bug positions runs in the logits' buffer. A
     # finite stand-in for -inf keeps fully-masked columns NaN-free; the
@@ -352,7 +357,6 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     rc = attended.reshape(batch, -1)
     shared = min(rb.shape[1], rc.shape[1])
     dot = (rb[:, :shared] * rc[:, :shared]).sum(axis=1)
-    norm_b = np.linalg.norm(rb, axis=1)
     norm_c = np.linalg.norm(rc, axis=1)
     denom = norm_b * norm_c
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
@@ -596,9 +600,13 @@ def load_model(path) -> QaModel:
     if len(blob) - end != 8 * sum(sizes):
         raise ValueError(f"{path}: checkpoint holds {len(blob) - end} tensor bytes, "
                          f"not the {8 * sum(sizes)} its header declares")
-    flat = np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64)
+    flat = np.frombuffer(blob, dtype="<f8", offset=end)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{path}: checkpoint holds a non-finite weight")
-    parts = [part.reshape(shape) for part, shape
-             in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes.values())]
-    return QaModel(config, input_dim, _stack_directions(parts), metadata)
+    # The file holds the forward tensors, then the backward ones, each in
+    # _WEIGHTS order: a (2, half) view takes every name at one column range.
+    directions, params, start = flat.reshape(2, -1), {}, 0
+    for name, shape, size in zip(_WEIGHTS, shapes.values(), sizes):
+        params[name] = directions[:, start:start + size].reshape(2, *shape).astype(np.float64)
+        start += size
+    return QaModel(config, input_dim, params, metadata)

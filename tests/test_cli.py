@@ -879,6 +879,19 @@ def test_embedding_precedence_flag_config_checkpoint(trained_checkpoint, tmp_pat
                                   config=config)
 
 
+def test_evaluate_report_records_the_embedding_it_used(
+        trained_checkpoint, small_corpus, tmp_path, capsys):
+    saved = {"kind": "hash", "dim": 8, "seed": 0, "scheme": "shake256-sum4"}
+    for name, flags, embedding in (("saved", [], saved),
+                                   ("override", ["--hash-seed", "3"], {**saved, "seed": 3})):
+        code, _, err = run_cli(capsys, ["evaluate", "--model", trained_checkpoint,
+                                        "--dataset", small_corpus, "--out", tmp_path / name,
+                                        *flags])
+        assert code == 0, err
+        report = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        assert report["config"]["embedding"] == embedding
+
+
 def test_an_empty_embeddings_flag_counts_as_not_given(trained_checkpoint, tmp_path, capsys):
     # The flag beats the config file, and then counts as not given: predict
     # reads the checkpoint's embedding, not the config's vector file.
@@ -914,6 +927,11 @@ def test_every_option_is_a_setting_or_read_only_from_its_flag():
      "embedding kind must be 'hash' for path None, not 'file'"),
     ({"kind": "hash", "dim": 8, "seed": 0, "path": "v.txt"},
      "embedding kind must be 'file' for path 'v.txt', not 'hash'"),
+    # Recorded before token vectors had a scheme, or under another one.
+    ({"kind": "hash", "dim": 8, "seed": 0},
+     "embedding scheme must be 'shake256-sum4', not missing"),
+    ({"kind": "hash", "dim": 8, "seed": 0, "scheme": "numpy-default-rng"},
+     "embedding scheme must be 'shake256-sum4', not 'numpy-default-rng'"),
 ])
 def test_malformed_checkpoint_embedding_fails_cleanly(
         trained_checkpoint, small_corpus, tmp_path, capsys, embedding, message):
@@ -943,7 +961,7 @@ HEADER_PATHS = [
     ("format",), ("input_dim",), ("config",), ("metadata",), ("tensors",),
     ("tensors", 0), ("tensors", 0, "shape"), ("metadata", "embedding"),
     *(("config", f.name) for f in fields(qa_model.ModelConfig)),
-    *(("metadata", "embedding", key) for key in ("kind", "dim", "seed", "path")),
+    *(("metadata", "embedding", key) for key in ("kind", "dim", "seed", "path", "scheme")),
 ]
 
 

@@ -1,7 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from patchqa import embed
 from patchqa.embed import (
     Embedding,
     TokenSequence,
@@ -107,6 +111,53 @@ def test_hash_seeded_unit_variance_statistically():
     values = provider.table[1:].ravel()
     assert abs(values.std() - 1.0) < 0.02
     assert abs(values.mean()) < 0.02
+
+
+def reference_vector(token, seed, dim):
+    """The documented hashed vector in Python ints and floats, no numpy."""
+    key = (seed % 2**64).to_bytes(8, "little")
+    digest = hashlib.shake_256(key + token.encode("utf-8")).digest(16 * dim)
+    words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16 * dim, 4)]
+    return [(sum(words[4 * j:4 * j + 4]) / 2**32 - 2) * math.sqrt(3.0) for j in range(dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 32])
+@pytest.mark.parametrize("seed", [0, 5, -1, 2**70])
+def test_hashed_vectors_follow_the_documented_formula(dim, seed):
+    tokens = ["a", "numberutils#createnumber", "_", "0.5", "caf\u00e9"]
+    provider = Embedding(dim, seed=seed)
+    provider.ids(tokens)
+    expected = np.array([[0.0] * dim, *(reference_vector(t, seed, dim) for t in tokens)])
+    assert provider.table.tobytes() == expected.tobytes()
+
+
+def test_ids_and_table_over_several_calls_equal_one_call():
+    calls = [["a", "b", "a"], [], ["b", "c"], ["d", "a", "e", "d"], ["f"]]
+    one, several = Embedding(8, seed=3), Embedding(8, seed=3)
+    ids = []
+    for n, call in enumerate(calls):
+        ids += several.ids(call)
+        if n == 2:
+            assert several.table.shape == (4, 8)  # a read between calls
+    assert ids == one.ids([token for call in calls for token in call])
+    assert several.table.tobytes() == one.table.tobytes()
+
+
+def test_a_token_the_vector_file_holds_is_never_hashed(tmp_path, monkeypatch):
+    hashed = []
+    draw = embed._hashed_vectors
+
+    def counted(tokens, seed, dim):
+        hashed.extend(tokens)
+        return draw(tokens, seed, dim)
+
+    monkeypatch.setattr(embed, "_hashed_vectors", counted)
+    path = _write_vectors(tmp_path / "vec.txt", ["dim 3", "alpha 1 2 3", "beta 4 5 6"])
+    provider = Embedding.load(path, seed=9)
+    assert provider.ids(["alpha", "zeta", "beta", "alpha"]) == [1, 2, 3, 1]
+    assert provider.ids(["beta", "eta"]) == [3, 4]
+    assert hashed == ["zeta", "eta"]
+    assert np.array_equal(provider.table[[1, 3]], [[1, 2, 3], [4, 5, 6]])
 
 
 def test_hash_seeded_rejects_bad_dim():
