@@ -4,7 +4,9 @@ A run keeps one ``Embedding``: a ``(1 + vocab, dim)`` table whose row 0 is
 the zero padding row. The first time a token is seen it gets the next row,
 holding its vector from a vector file (precomputed by an external encoder)
 if the file has one, else a vector hashed from (seed, token), so coverage
-gaps never abort a run. A sequence is kept as the ids of its
+gaps never abort a run. A token's id is given at once, but its vector is
+computed when the table is next read: that read hashes every token given an
+id since the last one in one pass. A sequence is kept as the ids of its
 tokens, zero-padded at the tail, so its mask is ``ids > 0``; the model gathers
 table rows batch by batch, as an ``nn.Embedding`` layer does. Rows never
 change once given, so ids and vectors are pure functions of the tokens, the
@@ -105,9 +107,8 @@ class Embedding:
         self.seed = seed
         self._vectors = vectors or {}
         self._ids: dict[str, int] = {}
-        # The rows of the table: the padding row, then one block per ids call
-        # that brought new tokens, until the next read of the table joins them.
-        self._blocks = [np.zeros((1, dim))]
+        self._table = np.zeros((1, dim))  # the padding row, then one row per id
+        self._pending: list[str] = []  # tokens given ids since the table was last built
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "Embedding":
@@ -144,26 +145,28 @@ class Embedding:
         return cls(dim, seed, vectors)
 
     def ids(self, tokens) -> list[int]:
-        """The table row of each token; a new token gets the next row."""
+        """The table row of each token; a new token gets the next row, whose
+        vector is computed on the next read of ``table``."""
         new = [token for token in dict.fromkeys(tokens) if token not in self._ids]
-        if new:
+        self._ids.update(zip(new, itertools.count(len(self._ids) + 1)))
+        self._pending += new
+        return [self._ids[token] for token in tokens]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (1 + vocab, dim) array of every row given so far. The first read
+        after new tokens hashes them all in one pass and appends their rows,
+        so read it once ids are assigned."""
+        if self._pending:
+            new, self._pending = self._pending, []
             hashed = [token for token in new if token not in self._vectors]
             rows = _hashed_vectors(hashed, self.seed, self.dim)
             if len(hashed) < len(new):  # the vector file holds the others
                 drawn = dict(zip(hashed, rows))
                 rows = np.array([drawn[token] if token in drawn else self._vectors[token]
                                  for token in new])
-            self._blocks.append(rows)
-            self._ids.update(zip(new, itertools.count(len(self._ids) + 1)))
-        return [self._ids[token] for token in tokens]
-
-    @property
-    def table(self) -> np.ndarray:
-        """The (1 + vocab, dim) array of every row given so far. It is built
-        on the first read after new tokens, so read it once ids are assigned."""
-        if len(self._blocks) > 1:
-            self._blocks = [np.concatenate(self._blocks)]
-        return self._blocks[0]
+            self._table = np.concatenate([self._table, rows])
+        return self._table
 
 
 def prepare(seq: TokenSequence, provider: Embedding, max_seq_len: int) -> TokenIds:

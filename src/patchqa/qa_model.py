@@ -26,23 +26,32 @@ outputs are zero, and attention logits and the flattened vectors mask them
 out. Token ids are the only input: id 0 is padding and a row's real ids form
 a prefix, so masks and lengths are derived from the ids. In each training
 batch and each scoring chunk of ``batch_size`` examples, each side is cut to
-its own longest real row: the BiLSTM runs the stacked rows at the wider of
-the two, and attention is (batch, bug width, description width). The real
-positions are gathered once from the run's embedding table. Scoring chunks
-group the examples by bug report, so a report's row runs in as few chunks as
-can be; scores return in input order. Only the BiLSTM weights are learned;
-the table is fixed, so back-propagation stops at the weight gradients. The
-attention softmax and its backward work in place. A training step keeps
-only what backpropagation reads: the BiLSTM's cache is its gate activations
-and cells, over which backpropagation through time (BPTT) writes the gate
-gradients, rebuilding tanh of the cells and the states as it goes and
-gathering the input again from the table. One function, ``_backward_batch``,
-runs a step's whole backward pass: from the loss through cosine and
-attention, the copies' sum at the distinct rows, and BPTT. It frees each
-array once its last read is past, so BPTT runs beside only the packed state
-gradients and the BiLSTM's cache. On a 128-example ``serve`` training batch
-the traced peak is about 11.6 MB in the forward pass, 14.3 MB in attention's
-backward and 7.8 MB in BPTT.
+its own longest real row, and attention is (batch, bug width, description
+width). A training batch runs its stacked rows through the BiLSTM at the
+wider of the two; the real positions are gathered once from the run's
+embedding table. Scoring (``score_many``) keeps the same chunks, the
+examples grouped by bug report in order of each report's first occurrence,
+but runs the BiLSTM once per call for each distinct text of a side: the
+descriptions up front, longest first, kept at their real positions for the
+whole call; the bug reports streamed in order of first occurrence, each
+chunk scored once its reports have run, and a report's outputs dropped once
+no later chunk reads them. No BiLSTM block holds more real positions than
+the largest chunk's distinct rows. A row's states do not depend on the rows
+beside it (a lone row's matmul runs beside another row, as BLAS rounds a
+matrix-vector product differently), so every score is bit for bit that of
+one ``_forward_batch`` per chunk; scores return in input order. Only the
+BiLSTM weights are learned; the table is fixed, so back-propagation stops at
+the weight gradients. The attention softmax and its backward work in place.
+A training step keeps only what backpropagation reads: the BiLSTM's cache is
+its gate activations and cells, over which backpropagation through time
+(BPTT) writes the gate gradients, rebuilding tanh of the cells and the
+states as it goes and gathering the input again from the table. One
+function, ``_backward_batch``, runs a step's whole backward pass: from the
+loss through cosine and attention, the copies' sum at the distinct rows, and
+BPTT. It frees each array once its last read is past, so BPTT runs beside
+only the packed state gradients and the BiLSTM's cache. On a 128-example
+``serve`` training batch the traced peak is about 11.6 MB in the forward
+pass, 14.3 MB in attention's backward and 7.8 MB in BPTT.
 Training minimizes binary cross-entropy with Adam; all arithmetic is float64
 numpy and deterministic under the config seed.
 """
@@ -182,26 +191,37 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
     t-1's rows. Returns the packed states and the cache for backpropagation,
     the gate activations and the cells; the input is not kept. The input
     projection is hoisted out of the loop as one matmul over the real
-    positions, written into ``gates``; each step adds the recurrent term and
+    positions, which becomes ``gates``; each step adds the recurrent term and
     overwrites its slice with the activations."""
     total = x.shape[1]
     hidden = params["w_h"].shape[2]
-    states = np.empty((2, total, hidden))
+    # BLAS runs a lone row as a matrix-vector product, which rounds
+    # differently from the same row beside others, so a lone row always runs
+    # beside another and no row's states depend on what else is batched: a
+    # lone input position beside a zero row, and a lone row's recurrent
+    # product beside the row after its previous state in ``states``, which is
+    # another real state, a later slot that stays zero until its step writes
+    # it, or the spare last row.
+    states = np.zeros((2, total + 1, hidden))
     cells = np.empty((2, total, hidden))
-    gates = np.empty((2, total, 4 * hidden))
-    np.matmul(x, params["w_x"].transpose(0, 2, 1), out=gates)
+    w_x = params["w_x"].transpose(0, 2, 1)
+    gates = (x @ w_x if total != 1
+             else (np.concatenate([x, np.zeros_like(x)], axis=1) @ w_x)[:, :1])
     gates += params["b"][:, None]
     wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1))
     split = 3 * hidden
     # A step's state is the previous step's slice, cut to the rows still running.
     h = c = np.zeros((2, sizes[0], hidden))
-    start = 0
+    previous = start = 0
     # A strongly negative gate input overflows exp(-a) to inf; its sigmoid is 0.
     with np.errstate(over="ignore"):
         for size in sizes.tolist():
             end = start + size
             gate = gates[:, start:end]
-            a = gate + h[:, :size] @ wh_t
+            if size != 1:
+                a = gate + h[:, :size] @ wh_t
+            else:  # the lone row's previous state and the row after it
+                a = gate + (states[:, previous:previous + 2] @ wh_t)[:, :1]
             gate[..., :split] = _sigmoid(a[..., :split])
             gate[..., split:] = np.tanh(a[..., split:])
             i = gate[..., :hidden]
@@ -213,8 +233,8 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
             cell_state += i * g
             c = cell_state
             h = np.multiply(o, np.tanh(c), out=states[:, start:end])
-            start = end
-    return states, (gates, cells)
+            previous, start = start, end
+    return states[:, :total], (gates, cells)
 
 
 def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
@@ -287,6 +307,20 @@ def _distinct_rows(ids: np.ndarray):
     return first[order], rank[inverse]
 
 
+def _pack(lengths: np.ndarray, steps: int):
+    """Pack rows of the given real lengths as ``pack_padded_sequence`` does:
+    rows sorted longest first, so the rows still running at step t are a
+    prefix of step t-1's rows. Returns each packed position's row and, per
+    direction, the row's step it reads and writes (step t forward, the row's
+    real steps reversed backward, as ``tf.reverse_sequence`` does), and the
+    packed step sizes."""
+    order = np.argsort(-lengths, kind="stable")
+    live = np.arange(steps)[:, None] < lengths[order]
+    t, k = np.nonzero(live)
+    row = order[k]
+    return row, np.where(_DIRECTIONS, lengths[row] - 1 - t, t), live.sum(axis=1)
+
+
 def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
     """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch.
     Row r has ``lengths[r]`` real steps, then padding. Only the real steps of
@@ -298,17 +332,8 @@ def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.
     distinct row's first row."""
     steps = ids.shape[1]
     keep, inverse = _distinct_rows(ids)
-    lengths = lengths[keep]
-    # Pack, as ``pack_padded_sequence`` does: rows sorted longest first, so
-    # the rows still running at step t are a prefix of step t-1's rows.
-    order = np.argsort(-lengths, kind="stable")
-    live = np.arange(steps)[:, None] < lengths[order]
-    t, k = np.nonzero(live)
-    row = order[k]
-    # The flat (row, step) position each packed step reads and writes: step t
-    # forward, the row's real steps reversed backward (``tf.reverse_sequence``).
-    where = row * steps + np.where(_DIRECTIONS, lengths[row] - 1 - t, t)
-    sizes = live.sum(axis=1)
+    row, step, sizes = _pack(lengths[keep], steps)
+    where = row * steps + step
     tokens = ids[keep].ravel()[where]
     states, cache = _lstm_run(model.params, table[tokens], sizes)
     e = np.zeros((len(keep) * steps, 2, states.shape[2]))
@@ -329,11 +354,9 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     lengths = np.count_nonzero(ids, axis=1)
     width_b = max(1, int(lengths[:batch].max()))
     width_c = max(1, int(lengths[batch:].max()))
-    ids = ids[:, :max(width_b, width_c)]
-    desc_mask = (ids[batch:, :width_c] > 0).astype(np.float64)
     # One BiLSTM pass over the distinct rows of the bug and description rows
     # stacked; each side gathers its rows' outputs at its own width.
-    e, inverse, bilstm = _bilstm_run(model, lengths, table, ids)
+    e, inverse, bilstm = _bilstm_run(model, lengths, table, ids[:, :max(width_b, width_c)])
     e_b, e_c = e[inverse[:batch], :width_b], e[inverse[batch:], :width_c]
     # The bug rows' norms, taken at their distinct rows: the first ones, as
     # rows are numbered in order of first occurrence and bug rows come first.
@@ -341,11 +364,23 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     on_bug = int(inverse[:batch].max()) + 1
     norm_b = np.linalg.norm(e[:on_bug, :width_b].reshape(on_bug, -1), axis=1)[inverse[:batch]]
     del e  # attention reads only the gathered sides
+    scores, cache = _match(e_b, e_c, norm_b, lengths[:batch], lengths[batch:])
+    cache.update(bilstm=bilstm, inverse=inverse)
+    return scores, cache
+
+
+def _match(e_b, e_c, norm_b, len_b, len_c):
+    """Scores from each side's gathered BiLSTM rows, e_b (batch, bug width,
+    2*hidden) and e_c (batch, description width, 2*hidden) with zero padded
+    positions, the bug rows' flattened norms and each row's real length; and
+    a dict of the arrays backpropagation reads."""
+    batch, width_b = e_b.shape[:2]
+    desc_mask = (np.arange(e_c.shape[1]) < len_c[:, None]).astype(np.float64)
     # The masked softmax over the bug positions runs in the logits' buffer. A
     # finite stand-in for -inf keeps fully-masked columns NaN-free; the
     # zero-norm rule then forces those scores to 0.5 anyway.
     alpha = e_b @ e_c.transpose(0, 2, 1)
-    alpha[ids[:batch, :width_b] == 0] = _MASKED_LOGIT
+    alpha[np.arange(width_b) >= len_b[:, None]] = _MASKED_LOGIT
     alpha -= alpha.max(axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=1, keepdims=True)
@@ -362,9 +397,8 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     cos = np.clip(cos, -1.0, 1.0)
     scores = _sigmoid(cos)
-    return scores, dict(bilstm=bilstm, inverse=inverse, e_b=e_b, e_c=e_c, alpha=alpha,
-                        desc_mask=desc_mask, rb=rb, rc=rc, dot=dot, norm_b=norm_b,
-                        norm_c=norm_c, scores=scores)
+    return scores, dict(e_b=e_b, e_c=e_c, alpha=alpha, desc_mask=desc_mask, rb=rb, rc=rc,
+                        dot=dot, norm_b=norm_b, norm_c=norm_c, scores=scores)
 
 
 def _backward_batch(model: QaModel, cache: dict, labels: np.ndarray):
@@ -449,19 +483,102 @@ def score(model: QaModel, example: BatchExample, table: np.ndarray) -> float:
     return float(scores[0])
 
 
+def _blocks(lengths: np.ndarray, cap: int):
+    """Consecutive (start, stop) row ranges, each the most rows from its
+    start whose real positions sum to at most ``cap``; no row holds more."""
+    ends = np.cumsum(lengths)
+    start = 0
+    while start < len(lengths):
+        stop = int(np.searchsorted(ends, ends[start] - lengths[start] + cap, side="right"))
+        yield start, stop
+        start = stop
+
+
+def _outputs(model: QaModel, table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+             out: np.ndarray) -> None:
+    """Write the BiLSTM outputs of distinct id rows into ``out``
+    (lengths.sum(), 2*hidden), at their real positions only, row after row."""
+    if len(out):
+        row, step, sizes = _pack(lengths, int(lengths.max()))
+        states, _ = _lstm_run(model.params, table[ids[row, step]], sizes)
+        out.reshape(len(out), 2, -1)[(np.cumsum(lengths) - lengths)[row] + step,
+                                     _DIRECTIONS] = states
+
+
+def _gather(store: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(rows, width, 2*hidden) rows read from a flat store of real positions
+    whose row 0 is zero: row r holds ``lengths[r]`` positions from
+    ``starts[r]``, then padding, up to the longest row (at least one step)."""
+    steps = np.arange(max(1, int(lengths.max())))
+    return store[np.where(steps < lengths[:, None], starts[:, None] + steps, 0)]
+
+
 def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) -> np.ndarray:
     """Scores in example order, gathered from ``table`` and scored in chunks of
-    ``batch_size``, so memory follows the chunk, not the whole set. Chunks take
-    the examples grouped by bug report, in order of each report's first
-    occurrence, so a report shared by many examples runs in as few chunks as can be."""
+    ``batch_size``. Chunks take the examples grouped by bug report, in order of
+    each report's first occurrence, and each chunk is scored as
+    ``_forward_batch`` scores it. The BiLSTM, though, runs each distinct text
+    of a side once per call: every description up front, longest first, kept
+    at its real positions for the whole call; the bug reports streamed in
+    order of first occurrence, each chunk scored once its reports have run
+    and a report's outputs dropped once no later chunk reads them. No BiLSTM
+    block holds more real positions than the largest chunk's distinct rows,
+    so memory follows the chunk, not the whole set."""
     if not examples:
         return np.empty(0)
-    bug_ids, desc_ids, _ = stack_examples(examples)
-    order = np.argsort(_distinct_rows(bug_ids)[1], kind="stable")
-    scores = np.empty(len(examples))
-    for start in range(0, len(examples), model.config.batch_size):
-        chunk = order[start:start + model.config.batch_size]
-        scores[chunk] = _forward_batch(model, table, bug_ids[chunk], desc_ids[chunk])[0]
+    count, size = len(examples), model.config.batch_size
+    # One number per distinct text, in order of first occurrence over the bug
+    # rows and then the description rows, so the reports are 0 .. reports-1.
+    # Only the distinct rows' ids are kept.
+    stacked = np.concatenate(stack_examples(examples)[:2])
+    keep, text = _distinct_rows(stacked)
+    ids = stacked[keep]
+    del stacked
+    lengths = np.count_nonzero(ids, axis=1)
+    bug, desc = text[:count], text[count:]
+    order = np.argsort(bug, kind="stable")
+    chunks = [order[start:start + size] for start in range(0, count, size)]
+    # The cap: the real positions of the largest chunk's distinct rows over
+    # both sides, as ``_forward_batch`` packs them.
+    cap = max(int(lengths[np.unique(np.concatenate([bug[c], desc[c]]))].sum()) for c in chunks)
+    width = 2 * model.config.hidden_size
+    # The descriptions' store: the zero row, then each description's real
+    # positions, longest description first.
+    described = np.unique(desc)
+    described = described[np.argsort(-lengths[described], kind="stable")]
+    run = lengths[described]
+    ends = 1 + np.cumsum(run)
+    desc_start = np.zeros(len(keep), dtype=np.int64)
+    desc_start[described] = ends - run
+    desc_store = np.zeros((ends[-1], width))
+    for a, b in _blocks(run, cap):
+        _outputs(model, table, ids[described[a:b]], run[a:b],
+                 desc_store[ends[a] - run[a]:ends[b - 1]])
+    # The reports' store: the zero row, then the real positions of the
+    # reports from the first one a chunk still reads, from position ``base``.
+    reports = int(bug.max()) + 1
+    report_start = np.cumsum(lengths[:reports]) - lengths[:reports]
+    live, base, scored = np.zeros((1, width)), 0, 0
+    scores = np.empty(count)
+    for a, b in _blocks(lengths[:reports], cap):
+        first = int(report_start[bug[chunks[scored][0]]])
+        kept = live[1 + first - base:]
+        live = np.zeros((1 + len(kept) + int(lengths[a:b].sum()), width))
+        live[1:1 + len(kept)] = kept
+        _outputs(model, table, ids[a:b], lengths[a:b], live[1 + len(kept):])
+        del kept  # the previous store goes
+        base = first
+        while scored < len(chunks) and bug[chunks[scored][-1]] < b:
+            rows_b, rows_c = bug[chunks[scored]], desc[chunks[scored]]
+            e_b = _gather(live, 1 + report_start[rows_b] - base, lengths[rows_b])
+            e_c = _gather(desc_store, desc_start[rows_c], lengths[rows_c])
+            # Each report's norm, taken at one of its rows, reduces the same
+            # contiguous values as every copy of that row.
+            _, one, copies = np.unique(rows_b, return_index=True, return_inverse=True)
+            norm_b = np.linalg.norm(e_b[one].reshape(len(one), -1), axis=1)[copies]
+            scores[chunks[scored]] = _match(e_b, e_c, norm_b, lengths[rows_b],
+                                            lengths[rows_c])[0]
+            scored += 1
     return scores
 
 

@@ -96,3 +96,26 @@ def loss(score_value: float, label: int) -> float:
     if label not in (0, 1):
         raise ValueError("label must be 0 or 1")
     return float(-(label * math.log(score_value) + (1 - label) * math.log(1.0 - score_value)))
+
+
+def score_many_by_chunks(model: qa_model.QaModel, examples, table) -> np.ndarray:
+    """Scores in example order, one ``_forward_batch`` per chunk: the examples
+    grouped by bug report in order of each report's first occurrence, cut
+    every ``batch_size``. Each chunk runs its own distinct rows through the
+    BiLSTM, so a text in several chunks runs once in each."""
+    if not examples:
+        return np.empty(0)
+    bug_ids, desc_ids, _ = qa_model.stack_examples(examples)
+    scores = np.empty(len(examples))
+    for chunk in chunks_by_report(bug_ids, model.config.batch_size):
+        scores[chunk] = qa_model._forward_batch(model, table, bug_ids[chunk], desc_ids[chunk])[0]
+    return scores
+
+
+def chunks_by_report(bug_ids, size: int) -> list[np.ndarray]:
+    """Example indices of each scoring chunk: grouped by bug report, in order
+    of each report's first occurrence, cut every ``size``."""
+    _, first, inverse = np.unique(bug_ids, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # each report's place by first occurrence
+    order = np.argsort(rank[inverse.ravel()], kind="stable")
+    return [order[start:start + size] for start in range(0, len(order), size)]

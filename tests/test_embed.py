@@ -156,8 +156,40 @@ def test_a_token_the_vector_file_holds_is_never_hashed(tmp_path, monkeypatch):
     provider = Embedding.load(path, seed=9)
     assert provider.ids(["alpha", "zeta", "beta", "alpha"]) == [1, 2, 3, 1]
     assert provider.ids(["beta", "eta"]) == [3, 4]
-    assert hashed == ["zeta", "eta"]
+    # Vectors are computed when the table is read.
     assert np.array_equal(provider.table[[1, 3]], [[1, 2, 3], [4, 5, 6]])
+    assert hashed == ["zeta", "eta"]
+
+
+def test_one_table_read_hashes_every_new_token_in_one_pass(tmp_path, monkeypatch):
+    # Several ids calls, then one read of the table: one hash call over every
+    # new token, and the same ids and table bytes as hashing each call's new
+    # tokens as it comes and stacking the rows, the file's rows in between.
+    calls = [["a", "alpha", "b", "a"], [], ["b", "c", "beta"], ["d", "alpha", "e", "d"]]
+    path = _write_vectors(tmp_path / "vec.txt", ["dim 3", "alpha 1 2 3", "beta 4 5 6"])
+    file_vectors = {"alpha": [1.0, 2.0, 3.0], "beta": [4.0, 5.0, 6.0]}
+    ids, rows, seen = [], [np.zeros((1, 3))], {}
+    for call in calls:
+        new = [token for token in dict.fromkeys(call) if token not in seen]
+        seen.update(zip(new, range(len(seen) + 1, len(seen) + 1 + len(new))))
+        ids += [seen[token] for token in call]
+        hashed = iter(embed._hashed_vectors([t for t in new if t not in file_vectors], 9, 3))
+        rows += [file_vectors[t] if t in file_vectors else next(hashed) for t in new]
+    hash_calls = []
+    draw = embed._hashed_vectors
+
+    def counted(tokens, seed, dim):
+        hash_calls.append(list(tokens))
+        return draw(tokens, seed, dim)
+
+    monkeypatch.setattr(embed, "_hashed_vectors", counted)
+    provider = Embedding.load(path, seed=9)
+    assert [i for call in calls for i in provider.ids(call)] == ids
+    assert hash_calls == []
+    table = provider.table
+    assert table.tobytes() == np.vstack(rows).tobytes()
+    assert hash_calls == [["a", "b", "c", "d", "e"]]
+    assert provider.table is table and len(hash_calls) == 1  # nothing new to hash
 
 
 def test_hash_seeded_rejects_bad_dim():

@@ -26,7 +26,7 @@ from patchqa.qa_model import (
 
 from conftest import rewrite_checkpoint, token_ids
 from oracle import (attention_apply, attention_weights, bilstm_forward, bilstm_reference,
-                    cosine_similarity, loss)
+                    chunks_by_report, cosine_similarity, loss, score_many_by_chunks)
 
 
 def make_model(dim=4, hidden=3, max_len=5, seed=7, **kwargs):
@@ -261,10 +261,11 @@ def test_batched_scores_equal_single_scores():
         assert abs(batched[i] - score(chunked, ex, table)) <= 1e-12
 
 
-def test_score_many_scores_each_bug_report_in_one_chunk(monkeypatch):
+def test_score_many_scores_each_bug_report_in_one_chunk(lstm_inputs, monkeypatch):
     # Eleven examples of three bug reports, interleaved, in chunks of four:
-    # grouped by report, each report's row enters one chunk, and the scores
-    # come back in input order.
+    # grouped by report, each report's examples fill one chunk, each distinct
+    # text runs through the BiLSTM once, and the scores come back in input
+    # order.
     rng = np.random.default_rng(24)
     model = make_model(dim=4, hidden=3, max_len=7, batch_size=4)
     table = random_table(rng, 4)
@@ -273,26 +274,55 @@ def test_score_many_scores_each_bug_report_in_one_chunk(monkeypatch):
     for i, ex in enumerate(examples):
         ex.bug = bugs[i % 3]
     chunks = []
-    bilstm_run = qa_model._bilstm_run
+    match = qa_model._match
 
-    def recording(model, lengths, table, ids):
-        chunks.append(ids)
-        return bilstm_run(model, lengths, table, ids)
+    def recording(e_b, e_c, norm_b, len_b, len_c):
+        chunks.append(len_b.tolist())  # the reports' lengths tell them apart
+        return match(e_b, e_c, norm_b, len_b, len_c)
 
-    monkeypatch.setattr(qa_model, "_bilstm_run", recording)
-    scores = score_many(model, examples, table)
-    assert len(chunks) == 3
-    for side in bugs:
-        # A chunk cut to width w holds the row if the row is real only within w.
-        holds = [not side.ids[len(ids[0]):].any()
-                 and any(np.array_equal(row, side.ids[:len(row)]) for row in ids)
-                 for ids in chunks]
-        assert sum(holds) == 1
+    monkeypatch.setattr(qa_model, "_match", recording)
+    scores = scored_once_per_text(lstm_inputs, model, examples, table)
+    assert chunks == [[6] * 4, [3] * 4, [5] * 3]
     assert scores.shape == (11,)
     for i, ex in enumerate(examples):
         assert abs(scores[i] - score(model, ex, table)) <= 1e-12
     empty = score_many(model, [], table)
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_score_many_equals_scoring_chunk_by_chunk(lstm_inputs):
+    # Scores are bit for bit those of one ``_forward_batch`` per chunk. Small
+    # chunks over a small pool of texts repeat reports and descriptions
+    # across chunks and blocks, use a text as both a report and a
+    # description, and hold all-padding rows; one example and none are
+    # covered too.
+    rng = np.random.default_rng(27)
+    for trial in range(80):
+        model = make_model(dim=4, hidden=3, max_len=8, seed=trial,
+                           batch_size=int(rng.integers(1, 6)))
+        table = random_table(rng, 4)
+        pool = [token_ids(rng.integers(1, VOCAB + 1, size=int(rng.integers(0, 9))), 8)
+                for _ in range(int(rng.integers(1, 7)))]
+        pairs = rng.integers(0, len(pool), size=(int(rng.integers(0, 20)), 2))
+        examples = [BatchExample(pool[b], pool[d], 1) for b, d in pairs]
+        assert np.array_equal(score_many(model, examples, table),
+                              score_many_by_chunks(model, examples, table)), trial
+        one = examples[:1]
+        assert np.array_equal(score_many(model, one, table),
+                              score_many_by_chunks(model, one, table)), trial
+    assert np.array_equal(score_many(model, [], table), score_many_by_chunks(model, [], table))
+    # Three 5-token reports with three examples each, in chunks of four:
+    # (a, a, a, b), (b, b, c, c) and (c). The largest chunk holds 14 real
+    # positions, so the reports run in two blocks, (a, b) and (c), after the
+    # nine 1-token descriptions, and the second chunk reads both blocks.
+    model = make_model(dim=4, hidden=3, max_len=6, batch_size=4)
+    table = random_table(rng, 4)
+    reports = [token_ids(rng.integers(1, VOCAB + 1, size=5), 6) for _ in range(3)]
+    examples = [BatchExample(reports[i // 3], token_ids([i + 1], 6), i % 2) for i in range(9)]
+    lstm_inputs.clear()
+    scores = score_many(model, examples, table)
+    assert [x.shape[1] for x in lstm_inputs] == [9, 10, 5]
+    assert np.array_equal(scores, score_many_by_chunks(model, examples, table))
 
 
 WORDS = ["parser", "crash", "null", "header", "guard", "empty", "fix", "loop"]
@@ -499,16 +529,35 @@ def test_batch_does_not_depend_on_row_order():
 
 @pytest.fixture
 def lstm_inputs(monkeypatch):
-    """The shape of every packed input ``_lstm_run`` receives."""
+    """Every packed input ``_lstm_run`` receives."""
     seen = []
     lstm_run = qa_model._lstm_run
 
     def recording(params, x, *rest):
-        seen.append(x.shape)
+        seen.append(x.copy())
         return lstm_run(params, x, *rest)
 
     monkeypatch.setattr(qa_model, "_lstm_run", recording)
     return seen
+
+
+def scored_once_per_text(lstm_inputs, model, examples, table):
+    """``score_many``'s scores, once its call is checked: the forward inputs of
+    its BiLSTM runs are the real tokens of each distinct bug report and each
+    distinct description, once each, and no run holds more real positions
+    than the largest chunk's distinct rows, which ``_forward_batch`` would
+    run together. The table's rows must be distinct."""
+    lstm_inputs.clear()
+    scores = score_many(model, examples, table)
+    bug_ids, desc_ids, _ = stack_examples(examples)
+    texts = [row[row > 0] for ids in (bug_ids, desc_ids) for row in np.unique(ids, axis=0)]
+    row_id = {row.tobytes(): i for i, row in enumerate(table)}
+    ran = [row_id[row.tobytes()] for x in lstm_inputs for row in x[0]]
+    assert sorted(ran) == sorted(np.concatenate(texts).tolist())
+    largest = max(np.count_nonzero(np.unique(np.concatenate([bug_ids[c], desc_ids[c]]), axis=0))
+                  for c in chunks_by_report(bug_ids, model.config.batch_size))
+    assert max(x.shape[1] for x in lstm_inputs) <= largest
+    return scores
 
 
 def test_lstm_reads_only_real_positions(lstm_inputs):
@@ -520,10 +569,11 @@ def test_lstm_reads_only_real_positions(lstm_inputs):
     examples = [random_example(rng, model, n_bug=b, n_desc=d) for b, d in sizes]
     bug_ids, desc_ids, labels = stack_examples(examples)
     batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-    score_many(model, examples, table)
     real = np.count_nonzero(bug_ids) + np.count_nonzero(desc_ids)
     assert real == 29
-    assert lstm_inputs == [(2, real, 4)] * 2
+    assert [x.shape for x in lstm_inputs] == [(2, real, 4)]
+    # score_many runs each side's real tokens, in blocks of at most 29.
+    scored_once_per_text(lstm_inputs, model, examples, table)
 
 
 def duplicate_batch(case):
@@ -549,9 +599,9 @@ def duplicate_batch(case):
 
 @pytest.mark.parametrize("case", ["bug-repeated", "cross-side", "all-padding"])
 def test_duplicate_rows_run_once(lstm_inputs, case):
-    # Each distinct row of the stacked batch runs once; its copies share its
-    # states and sum their gradients, so scores equal single-example scores
-    # and gradients equal the mean of single-example gradients.
+    # Each distinct row of the stacked training batch runs once; its copies
+    # share its states and sum their gradients, so scores equal single-example
+    # scores and gradients equal the mean of single-example gradients.
     model, table, examples = duplicate_batch(case)
     bug_ids, desc_ids, labels = stack_examples(examples)
     stacked = np.concatenate([bug_ids, desc_ids])
@@ -561,8 +611,10 @@ def test_duplicate_rows_run_once(lstm_inputs, case):
     assert int(cache["inverse"].max()) + 1 == len(distinct)
     lstm_inputs.clear()
     loss_value, grads = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
-    batched = score_many(model, examples, table)
-    assert lstm_inputs == [(2, np.count_nonzero(distinct), 4)] * 2
+    assert [x.shape for x in lstm_inputs] == [(2, np.count_nonzero(distinct), 4)]
+    # score_many runs each side's distinct rows once; a text that is both a
+    # report and a description runs once on each side.
+    batched = scored_once_per_text(lstm_inputs, model, examples, table)
     for i, ex in enumerate(examples):
         assert abs(batched[i] - score(model, ex, table)) <= 1e-12
     # The oracle: one example per batch, whose two rows are distinct.
@@ -636,6 +688,38 @@ def test_training_batch_peak_memory():
     # 2.4 MB, and keeping only what backpropagation reads peaks at about 1.6 MB.
     assert training_step_peak(25, batch=64, bug_rows=8, width=32, desc_len=8,
                               dim=16, hidden=8) < 3_200_000
+
+
+def scoring_peak(seed, count, reports, width, desc_len, dim, hidden) -> int:
+    """Traced peak of one ``score_many`` call: ``count`` examples share
+    ``reports`` full-width bug reports in turn, and each has its own
+    description of 1 to ``desc_len`` tokens."""
+    rng = np.random.default_rng(seed)
+    model = make_model(dim=dim, hidden=hidden, max_len=width)
+    table = random_table(rng, dim)
+    bugs = [token_ids(rng.integers(1, VOCAB + 1, size=width), width) for _ in range(reports)]
+    examples = [BatchExample(bugs[i % reports],
+                             token_ids(rng.integers(1, VOCAB + 1,
+                                                    size=int(rng.integers(1, desc_len + 1))), width),
+                             i % 2) for i in range(count)]
+    score_many(model, examples, table)
+    tracemalloc.start()
+    try:
+        score_many(model, examples, table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_peak_memory():
+    # A serve-shaped evaluate: 256 examples over 40 reports of 64 tokens, with
+    # short descriptions, in chunks of 128. Running each chunk's distinct rows
+    # through the BiLSTM, as ``_forward_batch`` does, peaked at about 8.0 MB
+    # here; running each distinct text once, descriptions kept for the call
+    # and reports streamed in blocks no larger than a chunk, peaks at about
+    # 5.3 MB.
+    assert scoring_peak(28, count=256, reports=40, width=64, desc_len=8,
+                        dim=32, hidden=16) < 8_000_000
 
 
 def test_training_step_keeps_only_what_backprop_reads():
