@@ -349,8 +349,9 @@ def main(argv=None) -> int:
             _apply_config(args, args.config)
         return args.func(args)
     except (DatasetError, PipelineError, qa_model.TrainingError, ValueError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; Python's own has no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -77,6 +77,8 @@ def parse_unified_diff(diff: str) -> list[DiffHunk]:
                     raise DiffParseError(
                         "hunk line counts inconsistent with header ranges: diff truncated"
                     )
+                # A CRLF diff's blank context line is a lone "\r".
+                body = body.removesuffix("\r")
                 rule = _BODY_LINES.get(body[:1])
                 if rule is None:
                     raise DiffParseError(f"unexpected line inside hunk: {body!r}")

@@ -49,11 +49,16 @@ states as it goes and gathering the input again from the table. One
 function, ``_backward_batch``, runs a step's whole backward pass: from the
 loss through cosine and attention, the copies' sum at the distinct rows, and
 BPTT. It frees each array once its last read is past, so BPTT runs beside
-only the packed state gradients and the BiLSTM's cache. On a 128-example
-``serve`` training batch the traced peak is about 11.6 MB in the forward
-pass, 14.3 MB in attention's backward and 7.8 MB in BPTT.
-Training minimizes binary cross-entropy with Adam; all arithmetic is float64
-numpy and deterministic under the config seed.
+only the packed state gradients and the BiLSTM's cache. Training minimizes
+binary cross-entropy with Adam, deterministically under the config seed, in
+mixed precision: ``train`` casts the table to float32 once, and the
+recurrence and BPTT compute in their input's dtype, so they run in float32;
+attention, cosine, the loss, the weight gradients, Adam and the weights stay
+float64. Scoring reads the float64 table, so all its arithmetic is float64.
+On the first 128 examples of perfbench's seed-1 ``serve`` corpus, a
+training step's traced peak is about 8.7 MB in the forward pass, 12.3 MB in
+attention's backward and 4.4 MB in BPTT (11.1, 14.8 and 8.5 MB from a
+float64 table).
 """
 
 from __future__ import annotations
@@ -192,8 +197,9 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
     the gate activations and the cells; the input is not kept. The input
     projection is hoisted out of the loop as one matmul over the real
     positions, which becomes ``gates``; each step adds the recurrent term and
-    overwrites its slice with the activations."""
-    total = x.shape[1]
+    overwrites its slice with the activations. Everything is computed in the
+    input's dtype, the weights cast to it once."""
+    total, dtype = x.shape[1], x.dtype
     hidden = params["w_h"].shape[2]
     # BLAS runs a lone row as a matrix-vector product, which rounds
     # differently from the same row beside others, so a lone row always runs
@@ -202,16 +208,16 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
     # product beside the row after its previous state in ``states``, which is
     # another real state, a later slot that stays zero until its step writes
     # it, or the spare last row.
-    states = np.zeros((2, total + 1, hidden))
-    cells = np.empty((2, total, hidden))
-    w_x = params["w_x"].transpose(0, 2, 1)
+    states = np.zeros((2, total + 1, hidden), dtype)
+    cells = np.empty((2, total, hidden), dtype)
+    w_x = params["w_x"].astype(dtype, copy=False).transpose(0, 2, 1)
     gates = (x @ w_x if total != 1
              else (np.concatenate([x, np.zeros_like(x)], axis=1) @ w_x)[:, :1])
-    gates += params["b"][:, None]
-    wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1))
+    gates += params["b"].astype(dtype, copy=False)[:, None]
+    wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1), dtype)
     split = 3 * hidden
     # A step's state is the previous step's slice, cut to the rows still running.
-    h = c = np.zeros((2, sizes[0], hidden))
+    h = c = np.zeros((2, sizes[0], hidden), dtype)
     previous = start = 0
     # A strongly negative gate input overflows exp(-a) to inf; its sigmoid is 0.
     with np.errstate(over="ignore"):
@@ -240,34 +246,37 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
 def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
                sizes: np.ndarray, table: np.ndarray, tokens: np.ndarray):
     """Backpropagation through time for both directions, packed like
-    ``_lstm_run``, whose input was ``table[tokens]``; returns the gradients
-    keyed like ``params``. The inputs are fixed token vectors, so no input
-    gradient is formed. BPTT consumes the cache: each step's gate gradients
-    overwrite its gate activations, which nothing reads again, and tanh of
-    the cells and the states are rebuilt from the cells and the output gate
-    as the loop reaches them. The carried gradients live in widest-row
-    buffers; a row that has not started yet (going backward) keeps zeros
-    there. The non-recurrent reductions are single matmuls over all real
-    positions, the input gathered again from ``table`` for the last one."""
+    ``_lstm_run``, whose input was ``table[tokens]``; returns the float64
+    gradients keyed like ``params``. BPTT runs in the dtype of the cache and
+    of ``g_states``, ``w_h`` cast to it once. The inputs are fixed token
+    vectors, so no input gradient is formed. BPTT consumes the cache: each
+    step's gate gradients overwrite its gate activations, which nothing
+    reads again, and tanh of the cells and the states are rebuilt from the
+    cells and the output gate as the loop reaches them. Each step works on a
+    gate-major copy of its gates and writes the gradients back. The carried
+    gradients live in widest-row buffers; a row that has not started yet
+    (going backward) keeps zeros there. The non-recurrent reductions are
+    single matmuls over all real positions, the input gathered again from
+    ``table`` for the last one."""
     gates, cells = cache
     _, total, hidden = cells.shape
-    split = 3 * hidden
+    dtype = cells.dtype
+    w_h = params["w_h"].astype(dtype, copy=False)
     width = sizes.tolist()
     # Each position after step 0 pairs with its row's previous state, one
     # step's width earlier; h_prev is zero at step 0, so that step drops out.
     # Step t's states land in h_prev at the slots of step t+1's positions.
-    h_prev = np.empty((2, total - width[0], hidden))
-    dh_next = np.zeros((2, width[0], hidden))
-    dc_next = np.zeros((2, width[0], hidden))
+    h_prev = np.empty((2, total - width[0], hidden), dtype)
+    dh_next = np.zeros((2, width[0], hidden), dtype)
+    dc_next = np.zeros((2, width[0], hidden), dtype)
     end = total
     for t in range(len(width) - 1, -1, -1):
         size = width[t]
         start = end - size
         gate = gates[:, start:end]
-        i = gate[..., :hidden]
-        f = gate[..., hidden:2 * hidden]
-        o = gate[..., 2 * hidden:split]
-        g = gate[..., split:]
+        # Each gate contiguous: numpy walks a gate sliced out of the rows
+        # ``hidden`` values at a time, which costs more than the copies.
+        i, f, o, g = slots = gate.reshape(2, size, 4, hidden).transpose(2, 0, 1, 3).copy()
         tc = np.tanh(cells[:, start:end])
         if t + 1 < len(width):
             going_on = width[t + 1]
@@ -283,15 +292,17 @@ def _lstm_back(params: dict[str, np.ndarray], cache, g_states: np.ndarray,
         i[...] = d_i
         f[...] = dc * c_prev * f * (1.0 - f)
         o[...] = dh * tc * o * (1.0 - o)
-        np.matmul(gate, params["w_h"], out=dh_next[:, :size])
+        gate.reshape(2, size, 4, hidden)[...] = slots.transpose(1, 2, 0, 3)
+        np.matmul(gate, w_h, out=dh_next[:, :size])
         end = start
     d_w_h = gates[:, width[0]:].transpose(0, 2, 1) @ h_prev
     del h_prev
-    return {
+    grads = {
         "w_x": gates.transpose(0, 2, 1) @ table[tokens],
         "w_h": d_w_h,
-        "b": gates.sum(axis=1),
+        "b": (np.ones((1, total), dtype) @ gates)[:, 0],
     }
+    return {name: g.astype(np.float64, copy=False) for name, g in grads.items()}
 
 
 def _distinct_rows(ids: np.ndarray):
@@ -460,10 +471,11 @@ def _backward_batch(model: QaModel, cache: dict, labels: np.ndarray):
             g_e[inverse[row], :width_b] += g_e_b[row]
         else:
             g_e[inverse[row], :width_c] += g_e_c[row - batch]
-    # BPTT reads only the packed state gradients: every other large array
-    # goes before it runs.
+    # BPTT reads only the packed state gradients, cast to its cache's dtype:
+    # every other large array goes before it runs.
     del g_rb, g_e_b, g_e_c
-    g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS]
+    g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS].astype(
+        lstm_cache[1].dtype, copy=False)
     del g_e
     return _lstm_back(model.params, lstm_cache, g_states, sizes, table, tokens)
 
@@ -618,6 +630,10 @@ def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
     """Adam-train in place on examples indexing ``table``; returns the
     per-epoch mean loss.
 
+    Mixed precision: the BiLSTM recurrence and BPTT run in float32, over a
+    float32 copy of ``table`` made once; attention, cosine, the loss, the
+    weight gradients, Adam and the weights stay float64.
+
     Deterministic given the config seed: the per-epoch shuffles come from one
     seeded generator, batches run in order and gradients accumulate in fixed
     order. The epoch count is fixed; there is no early stopping.
@@ -628,6 +644,7 @@ def train(model: QaModel, examples: list[BatchExample], table: np.ndarray):
         raise ValueError("need at least one training example")
     if table.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: model expects dim {model.input_dim}")
+    table = table.astype(np.float32)
     bug_ids, desc_ids, labels = stack_examples(examples)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, cfg.learning_rate)

@@ -317,6 +317,46 @@ def test_crossval_fold_error_is_the_same_line_in_a_worker(small_corpus, tmp_path
     assert not (tmp_path / "x").exists()
 
 
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 298. GiB for an array with shape "
+                       "(400000, 100000) and data type float64")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_out_of_memory_in_crossval_is_one_error_line(small_corpus, tmp_path, capsys,
+                                                     monkeypatch, cpus):
+    # A model too large to allocate fails before its fold's training stage.
+    # On one CPU fold 0 fails in this process; on two, only the forked
+    # workers fail, and fold 1's error comes back down its pipe.
+    main_pid = os.getpid()
+
+    def create(*args):
+        if cpus == 1 or os.getpid() != main_pid:
+            raise MemoryError(NUMPY_OUT_OF_MEMORY)
+        return create_model(*args)
+
+    create_model = qa_model.QaModel.create
+    monkeypatch.setattr(qa_model.QaModel, "create", create)
+    use_cpus(monkeypatch, cpus)
+    code, out, err = run_cli(capsys, ["crossval", "--dataset", small_corpus,
+                                      "--out", tmp_path / "x", "--k", "3", *FAST_MODEL])
+    assert code == 1 and out == ""
+    assert err.endswith(f"\nerror: {NUMPY_OUT_OF_MEMORY}\n")
+    assert "Traceback" not in err
+    assert_no_child_left()
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_of_memory_without_a_message_is_one_error_line(small_corpus, tmp_path, capsys,
+                                                           monkeypatch):
+    def create(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(qa_model.QaModel, "create", create)
+    code, out, err = run_cli(capsys, ["train", "--dataset", small_corpus,
+                                      "--model-out", tmp_path / "m.ckpt", *FAST_MODEL])
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("fold", [1, 2])
 def test_crossval_worker_killed_is_one_error_line(small_corpus, tmp_path, capsys,
                                                   monkeypatch, fold):

@@ -87,6 +87,15 @@ def test_no_newline_marker_ignored():
     assert hunks[0].removed_lines == ["x"] and hunks[0].added_lines == ["y"]
 
 
+def test_crlf_diff_parses_as_its_lf_form():
+    # The blank context line is empty, which a CRLF diff writes as a lone "\r".
+    lf = ("--- a/src/Widget.java\n+++ b/src/Widget.java\n@@ -3,4 +3,4 @@\n"
+          " context before\n\n-old line\n+new line\n context after\n")
+    crlf = lf.replace("\n", "\r\n")
+    assert parse_unified_diff(crlf) == parse_unified_diff(lf)
+    assert describe_diff(crlf) == describe_diff(lf)
+
+
 def test_pure_context_hunk_rejected():
     with pytest.raises(DiffParseError, match="no added or removed"):
         parse_unified_diff("--- a/F\n+++ b/F\n@@ -1,1 +1,1 @@\n same\n")

@@ -500,6 +500,26 @@ def test_gradients_match_central_finite_differences():
     check(np.array([a, b, a, zero]), np.array([c, a, zero, d]), [1.0, 0.0, 1.0, 0.0], table)
 
 
+@pytest.mark.parametrize("batch, steps", [(8, 10), (64, 64), (128, 12)])
+def test_float32_table_gradients_agree_with_float64(batch, steps):
+    # Training runs the recurrence and BPTT in the table's dtype, float32;
+    # attention, cosine and the loss stay float64, and the weight gradients
+    # come back float64 within float32 rounding of the float64 step's (about
+    # 1e-7 to 4e-7 here).
+    rng = np.random.default_rng(batch)
+    model = make_model(dim=32, hidden=16, max_len=steps)
+    table = random_table(rng, 32)
+    bug_ids, desc_ids, labels = stack_examples(
+        [random_example(rng, model) for _ in range(batch)])
+    loss64, grads64 = batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
+    loss32, grads32 = batch_loss_and_gradients(model, table.astype(np.float32),
+                                               bug_ids, desc_ids, labels)
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for name in model.params:
+        assert grads32[name].dtype == np.float64, name
+        assert relative_error(grads32[name], grads64[name]) < 1e-5, name
+
+
 def test_batch_does_not_depend_on_row_order():
     # Packing sorts the stacked rows by length; a permuted batch, with tied
     # lengths on both sides, a zero-length row and duplicate rows, must give
@@ -659,13 +679,14 @@ def test_bilstm_output_and_gradient_stay_at_distinct_rows(monkeypatch, case):
     assert gradients == [(2, np.count_nonzero(distinct), hidden)]
 
 
-def training_step_peak(seed, batch, bug_rows, width, desc_len, dim, hidden) -> int:
+def training_step_peak(seed, batch, bug_rows, width, desc_len, dim, hidden,
+                       dtype=np.float64) -> int:
     """Traced peak of one training step on a question-answering batch:
     ``batch`` examples share ``bug_rows`` long bug rows in turn, and each has
-    its own ``desc_len``-token description."""
+    its own ``desc_len``-token description. The table is of ``dtype``."""
     rng = np.random.default_rng(seed)
     model = make_model(dim=dim, hidden=hidden, max_len=width)
-    table = random_table(rng, dim)
+    table = random_table(rng, dim).astype(dtype)
     bug_ids = rng.integers(1, VOCAB + 1, size=(bug_rows, width))[np.arange(batch) % bug_rows]
     desc_ids = np.zeros((batch, width), dtype=np.int64)
     desc_ids[:, :desc_len] = rng.integers(1, VOCAB + 1, size=(batch, desc_len))
@@ -686,8 +707,10 @@ def test_training_batch_peak_memory():
     # every stacked row and keeping attention's arrays through BPTT peaked at
     # about 4.0 MB here; keeping them at the distinct rows peaked at about
     # 2.4 MB, and keeping only what backpropagation reads peaks at about 1.6 MB.
-    assert training_step_peak(25, batch=64, bug_rows=8, width=32, desc_len=8,
-                              dim=16, hidden=8) < 3_200_000
+    # Training's float32 table, recurrence and BPTT peak at about 1.3 MB.
+    for dtype in (np.float64, np.float32):
+        assert training_step_peak(25, batch=64, bug_rows=8, width=32, desc_len=8,
+                                  dim=16, hidden=8, dtype=dtype) < 3_200_000, dtype
 
 
 def scoring_peak(seed, count, reports, width, desc_len, dim, hidden) -> int:
@@ -753,6 +776,20 @@ def test_training_is_deterministic():
     assert history_a == history_b
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
+
+
+def test_training_runs_the_recurrence_in_float32(lstm_inputs):
+    # Training casts the table to float32 once, so the recurrence and BPTT
+    # run in float32; the weights stay float64, and scoring reads the
+    # caller's float64 table.
+    model, examples, table = small_training_setup()
+    train(model, examples, table)
+    assert {x.dtype for x in lstm_inputs} == {np.dtype(np.float32)}
+    assert table.dtype == np.float64
+    assert {p.dtype for p in model.params.values()} == {np.dtype(np.float64)}
+    lstm_inputs.clear()
+    score_many(model, examples, table)
+    assert {x.dtype for x in lstm_inputs} == {np.dtype(np.float64)}
 
 
 def test_training_single_positive_drives_score_up():
