@@ -120,7 +120,8 @@ def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except Exception as exc:
-        raise PipelineError(f"{name}: {exc}") from exc
+        # numpy's MemoryError names the allocation; Python's own has no message.
+        raise PipelineError(f"{name}: {str(exc) or type(exc).__name__}") from exc
 
 
 def load_deduped(path) -> tuple[corpus.Dataset, int]:
@@ -301,7 +302,8 @@ def run_crossval(config: RunConfig, progress=None) -> CrossvalResult:
 
     def train_fold(group):
         test = groups == group
-        fold_model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
+        fold_model = _stage(f"training fold {group}", qa_model.QaModel.create, config.model,
+                            table.shape[1], metadata)
         history = _stage(f"training fold {group}", qa_model.train, fold_model,
                          [row for row, held_out in zip(batch, test) if not held_out], table)
         scores = qa_model.score_many(
@@ -374,7 +376,7 @@ def run_train(config: RunConfig):
     config.model.validate()
     examples, _ = _load_examples(config.dataset, config.pair_seed)
     batch, table, metadata = _embed_examples(config, examples)
-    model = qa_model.QaModel.create(config.model, table.shape[1], metadata)
+    model = _stage("training", qa_model.QaModel.create, config.model, table.shape[1], metadata)
     history = _stage("training", qa_model.train, model, batch, table)
     info = {
         "examples": len(examples),

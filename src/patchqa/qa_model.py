@@ -36,29 +36,34 @@ descriptions up front, longest first, kept at their real positions for the
 whole call; the bug reports streamed in order of first occurrence, each
 chunk scored once its reports have run, and a report's outputs dropped once
 no later chunk reads them. No BiLSTM block holds more real positions than
-the largest chunk's distinct rows. A row's states do not depend on the rows
-beside it (a lone row's matmul runs beside another row, as BLAS rounds a
-matrix-vector product differently), so every score is bit for bit that of
-one ``_forward_batch`` per chunk; scores return in input order. Only the
-BiLSTM weights are learned; the table is fixed, so back-propagation stops at
-the weight gradients. The attention softmax and its backward work in place.
-A training step keeps only what backpropagation reads: the BiLSTM's cache is
-its gate activations and cells, over which backpropagation through time
-(BPTT) writes the gate gradients, rebuilding tanh of the cells and the
-states as it goes and gathering the input again from the table. One
-function, ``_backward_batch``, runs a step's whole backward pass: from the
-loss through cosine and attention, the copies' sum at the distinct rows, and
-BPTT. It frees each array once its last read is past, so BPTT runs beside
-only the packed state gradients and the BiLSTM's cache. Training minimizes
-binary cross-entropy with Adam, deterministically under the config seed, in
-mixed precision: ``train`` casts the table to float32 once, and the
-recurrence and BPTT compute in their input's dtype, so they run in float32;
-attention, cosine, the loss, the weight gradients, Adam and the weights stay
-float64. Scoring reads the float64 table, so all its arithmetic is float64.
-On the first 128 examples of perfbench's seed-1 ``serve`` corpus, a
-training step's traced peak is about 8.7 MB in the forward pass, 12.3 MB in
-attention's backward and 4.4 MB in BPTT (11.1, 14.8 and 8.5 MB from a
-float64 table).
+the largest chunk's distinct rows. One function, ``_bilstm_run``, makes
+every BiLSTM pass: it packs the rows it is given, runs them and writes each
+row's real positions into the caller's array from that row's own start, a
+(distinct rows, steps) buffer in training and one-pair scoring and a flat
+store of real positions in ``score_many``. A row's states do not depend on
+the rows beside it (every recurrent matmul takes at least two rows, as BLAS
+rounds a lone row's matrix-vector product differently), so every score is
+bit for bit that of one ``_forward_batch`` per chunk; scores return in input
+order. Only the BiLSTM weights are learned; the table is fixed, so
+back-propagation stops at the weight gradients. The attention softmax and
+its backward work in place. A training step keeps only what backpropagation
+reads: the BiLSTM's cache is the gate activations and cells, the packed
+token ids, the output row each packed position wrote and the packed step
+sizes. Backpropagation through time (BPTT) writes the gate gradients over
+the activations, rebuilding tanh of the cells and the states as it goes and
+gathering the input again from the table. One function, ``_backward_batch``,
+runs a step's whole backward pass: from the loss through cosine and
+attention, the copies' sum at the distinct rows, and BPTT. It frees each
+array once its last read is past, so BPTT runs beside only the packed state
+gradients and the BiLSTM's cache. Training minimizes binary cross-entropy
+with Adam, deterministically under the config seed, in mixed precision:
+``train`` casts the table to float32 once, and the recurrence and BPTT
+compute in their input's dtype, so they run in float32; attention, cosine,
+the loss, the weight gradients, Adam and the weights stay float64. Scoring
+reads the float64 table, so all its arithmetic is float64. On the first 128
+examples of perfbench's seed-1 ``serve`` corpus, a training step's traced
+peak is about 8.7 MB in the forward pass, 12.3 MB in attention's backward
+and 4.4 MB in BPTT (11.1, 14.8 and 8.5 MB from a float64 table).
 """
 
 from __future__ import annotations
@@ -202,32 +207,28 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
     total, dtype = x.shape[1], x.dtype
     hidden = params["w_h"].shape[2]
     # BLAS runs a lone row as a matrix-vector product, which rounds
-    # differently from the same row beside others, so a lone row always runs
-    # beside another and no row's states depend on what else is batched: a
-    # lone input position beside a zero row, and a lone row's recurrent
-    # product beside the row after its previous state in ``states``, which is
-    # another real state, a later slot that stays zero until its step writes
-    # it, or the spare last row.
+    # differently from the same row beside others, so no matmul takes a lone
+    # row and no row's states depend on what else is batched. A lone input
+    # position runs beside a zero row. Each step's recurrent product reads the
+    # previous step's rows of ``states``, at least two, and keeps the rows
+    # still running; a lone row's extra row is another real state, a later
+    # slot still zero or the spare last row. Step 0 reads its own slots,
+    # still zero, as its previous states and cells.
     states = np.zeros((2, total + 1, hidden), dtype)
-    cells = np.empty((2, total, hidden), dtype)
+    cells = np.zeros((2, total, hidden), dtype)
     w_x = params["w_x"].astype(dtype, copy=False).transpose(0, 2, 1)
     gates = (x @ w_x if total != 1
              else (np.concatenate([x, np.zeros_like(x)], axis=1) @ w_x)[:, :1])
     gates += params["b"].astype(dtype, copy=False)[:, None]
     wh_t = np.ascontiguousarray(params["w_h"].transpose(0, 2, 1), dtype)
     split = 3 * hidden
-    # A step's state is the previous step's slice, cut to the rows still running.
-    h = c = np.zeros((2, sizes[0], hidden), dtype)
     previous = start = 0
     # A strongly negative gate input overflows exp(-a) to inf; its sigmoid is 0.
     with np.errstate(over="ignore"):
         for size in sizes.tolist():
             end = start + size
             gate = gates[:, start:end]
-            if size != 1:
-                a = gate + h[:, :size] @ wh_t
-            else:  # the lone row's previous state and the row after it
-                a = gate + (states[:, previous:previous + 2] @ wh_t)[:, :1]
+            a = gate + (states[:, previous:previous + max(size, 2)] @ wh_t)[:, :size]
             gate[..., :split] = _sigmoid(a[..., :split])
             gate[..., split:] = np.tanh(a[..., split:])
             i = gate[..., :hidden]
@@ -235,10 +236,9 @@ def _lstm_run(params: dict[str, np.ndarray], x: np.ndarray, sizes: np.ndarray):
             o = gate[..., 2 * hidden:split]
             g = gate[..., split:]
             cell_state = cells[:, start:end]
-            np.multiply(f, c[:, :size], out=cell_state)
+            np.multiply(f, cells[:, previous:previous + size], out=cell_state)
             cell_state += i * g
-            c = cell_state
-            h = np.multiply(o, np.tanh(c), out=states[:, start:end])
+            np.multiply(o, np.tanh(cell_state), out=states[:, start:end])
             previous, start = start, end
     return states[:, :total], (gates, cells)
 
@@ -332,25 +332,20 @@ def _pack(lengths: np.ndarray, steps: int):
     return row, np.where(_DIRECTIONS, lengths[row] - 1 - t, t), live.sum(axis=1)
 
 
-def _bilstm_run(model: QaModel, lengths: np.ndarray, table: np.ndarray, ids: np.ndarray):
-    """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch.
-    Row r has ``lengths[r]`` real steps, then padding. Only the real steps of
-    each distinct row run, once however many rows repeat it. Returns the
-    (distinct rows, steps, 2*hidden) output, whose padded positions are zero,
-    the index of each row's distinct row in it, and the cache for
-    backpropagation: the LSTM cache, the table, the packed token ids, the
-    flat position each packed step wrote, the packed step sizes and each
-    distinct row's first row."""
-    steps = ids.shape[1]
-    keep, inverse = _distinct_rows(ids)
-    row, step, sizes = _pack(lengths[keep], steps)
-    where = row * steps + step
-    tokens = ids[keep].ravel()[where]
+def _bilstm_run(model: QaModel, table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+                out: np.ndarray, starts: np.ndarray):
+    """Run (rows, steps) ids over ``table`` through the BiLSTM as one batch,
+    row r's ``lengths[r]`` real steps only, and write row r's outputs at its
+    real positions into ``out`` (positions, 2*hidden), from row ``starts[r]``
+    on; no other row of ``out`` is written. Returns the cache for
+    backpropagation: the LSTM cache, the packed token ids, the row of ``out``
+    each packed step wrote and the packed step sizes."""
+    row, step, sizes = _pack(lengths, ids.shape[1])
+    tokens = ids[row, step]
     states, cache = _lstm_run(model.params, table[tokens], sizes)
-    e = np.zeros((len(keep) * steps, 2, states.shape[2]))
-    e[where, _DIRECTIONS] = states
-    return (e.reshape(len(keep), steps, -1), inverse,
-            (cache, table, tokens, where, sizes, keep))
+    where = starts[row] + step
+    out.reshape(len(out), 2, -1)[where, _DIRECTIONS] = states
+    return cache, tokens, where, sizes
 
 
 def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
@@ -365,9 +360,15 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     lengths = np.count_nonzero(ids, axis=1)
     width_b = max(1, int(lengths[:batch].max()))
     width_c = max(1, int(lengths[batch:].max()))
+    steps = max(width_b, width_c)
     # One BiLSTM pass over the distinct rows of the bug and description rows
-    # stacked; each side gathers its rows' outputs at its own width.
-    e, inverse, bilstm = _bilstm_run(model, lengths, table, ids[:, :max(width_b, width_c)])
+    # stacked, once however many rows repeat them, into a (distinct rows,
+    # steps, 2*hidden) output whose padded positions are zero; each side
+    # gathers its rows' outputs at its own width.
+    keep, inverse = _distinct_rows(ids[:, :steps])
+    e = np.zeros((len(keep), steps, 2 * model.config.hidden_size))
+    bilstm = _bilstm_run(model, table, ids[keep, :steps], lengths[keep],
+                         e.reshape(-1, e.shape[2]), np.arange(len(keep)) * steps)
     e_b, e_c = e[inverse[:batch], :width_b], e[inverse[batch:], :width_c]
     # The bug rows' norms, taken at their distinct rows: the first ones, as
     # rows are numbered in order of first occurrence and bug rows come first.
@@ -376,7 +377,7 @@ def _forward_batch(model: QaModel, table: np.ndarray, bug_ids, desc_ids):
     norm_b = np.linalg.norm(e[:on_bug, :width_b].reshape(on_bug, -1), axis=1)[inverse[:batch]]
     del e  # attention reads only the gathered sides
     scores, cache = _match(e_b, e_c, norm_b, lengths[:batch], lengths[batch:])
-    cache.update(bilstm=bilstm, inverse=inverse)
+    cache.update(bilstm=bilstm, inverse=inverse, keep=keep, table=table)
     return scores, cache
 
 
@@ -457,8 +458,8 @@ def _backward_batch(model: QaModel, cache: dict, labels: np.ndarray):
     # BPTT is linear in the output gradient, so each distinct row runs it once
     # on its copies' gradients summed: the first copy assigned, each later one
     # added in stacked row order (bug rows, then description rows).
-    lstm_cache, table, tokens, where, sizes, keep = cache.pop("bilstm")
-    inverse = cache["inverse"]
+    lstm_cache, tokens, where, sizes = cache.pop("bilstm")
+    inverse, keep = cache["inverse"], cache["keep"]
     width_b, width_c = g_e_b.shape[1], g_e_c.shape[1]
     g_e = np.zeros((len(keep), max(width_b, width_c), g_e_b.shape[2]))
     # Distinct rows are numbered in order of first occurrence, so those first
@@ -477,7 +478,7 @@ def _backward_batch(model: QaModel, cache: dict, labels: np.ndarray):
     g_states = g_e.reshape(-1, 2, g_e.shape[2] // 2)[where, _DIRECTIONS].astype(
         lstm_cache[1].dtype, copy=False)
     del g_e
-    return _lstm_back(model.params, lstm_cache, g_states, sizes, table, tokens)
+    return _lstm_back(model.params, lstm_cache, g_states, sizes, cache["table"], tokens)
 
 
 def stack_examples(examples: list[BatchExample]):
@@ -504,17 +505,6 @@ def _blocks(lengths: np.ndarray, cap: int):
         stop = int(np.searchsorted(ends, ends[start] - lengths[start] + cap, side="right"))
         yield start, stop
         start = stop
-
-
-def _outputs(model: QaModel, table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
-             out: np.ndarray) -> None:
-    """Write the BiLSTM outputs of distinct id rows into ``out``
-    (lengths.sum(), 2*hidden), at their real positions only, row after row."""
-    if len(out):
-        row, step, sizes = _pack(lengths, int(lengths.max()))
-        states, _ = _lstm_run(model.params, table[ids[row, step]], sizes)
-        out.reshape(len(out), 2, -1)[(np.cumsum(lengths) - lengths)[row] + step,
-                                     _DIRECTIONS] = states
 
 
 def _gather(store: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -564,8 +554,8 @@ def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) 
     desc_start[described] = ends - run
     desc_store = np.zeros((ends[-1], width))
     for a, b in _blocks(run, cap):
-        _outputs(model, table, ids[described[a:b]], run[a:b],
-                 desc_store[ends[a] - run[a]:ends[b - 1]])
+        rows = described[a:b]
+        _bilstm_run(model, table, ids[rows, :run[a]], run[a:b], desc_store, desc_start[rows])
     # The reports' store: the zero row, then the real positions of the
     # reports from the first one a chunk still reads, from position ``base``.
     reports = int(bug.max()) + 1
@@ -577,9 +567,10 @@ def score_many(model: QaModel, examples: list[BatchExample], table: np.ndarray) 
         kept = live[1 + first - base:]
         live = np.zeros((1 + len(kept) + int(lengths[a:b].sum()), width))
         live[1:1 + len(kept)] = kept
-        _outputs(model, table, ids[a:b], lengths[a:b], live[1 + len(kept):])
         del kept  # the previous store goes
         base = first
+        _bilstm_run(model, table, ids[a:b, :lengths[a:b].max()], lengths[a:b], live,
+                    1 + report_start[a:b] - base)
         while scored < len(chunks) and bug[chunks[scored][-1]] < b:
             rows_b, rows_c = bug[chunks[scored]], desc[chunks[scored]]
             e_b = _gather(live, 1 + report_start[rows_b] - base, lengths[rows_b])

@@ -22,8 +22,9 @@ def bilstm_forward(model: qa_model.QaModel, rows, length: int | None = None) -> 
     # A table of its own: the zero padding row, then one row per position.
     table = np.vstack([np.zeros((1, rows.shape[1])), rows])
     ids = np.arange(1, len(rows) + 1)[None]
-    e, inverse, _ = qa_model._bilstm_run(model, np.array([length]), table, ids)
-    return e[inverse[0]]
+    e = np.zeros((len(rows), 2 * model.config.hidden_size))
+    qa_model._bilstm_run(model, table, ids, np.array([length]), e, np.array([0]))
+    return e
 
 
 def lstm_direction(params, d: int, rows) -> np.ndarray:

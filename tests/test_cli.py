@@ -324,9 +324,10 @@ NUMPY_OUT_OF_MEMORY = ("Unable to allocate 298. GiB for an array with shape "
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_out_of_memory_in_crossval_is_one_error_line(small_corpus, tmp_path, capsys,
                                                      monkeypatch, cpus):
-    # A model too large to allocate fails before its fold's training stage.
-    # On one CPU fold 0 fails in this process; on two, only the forked
-    # workers fail, and fold 1's error comes back down its pipe.
+    # A model too large to allocate fails as its fold's training starts, and
+    # the error names the fold. On one CPU fold 0 fails in this process; on
+    # two, only the forked workers fail, and fold 1's error comes back down
+    # its pipe.
     main_pid = os.getpid()
 
     def create(*args):
@@ -340,7 +341,7 @@ def test_out_of_memory_in_crossval_is_one_error_line(small_corpus, tmp_path, cap
     code, out, err = run_cli(capsys, ["crossval", "--dataset", small_corpus,
                                       "--out", tmp_path / "x", "--k", "3", *FAST_MODEL])
     assert code == 1 and out == ""
-    assert err.endswith(f"\nerror: {NUMPY_OUT_OF_MEMORY}\n")
+    assert err.endswith(f"\nerror: training fold {cpus - 1}: {NUMPY_OUT_OF_MEMORY}\n")
     assert "Traceback" not in err
     assert_no_child_left()
     assert not (tmp_path / "x").exists()
@@ -354,7 +355,7 @@ def test_out_of_memory_without_a_message_is_one_error_line(small_corpus, tmp_pat
     monkeypatch.setattr(qa_model.QaModel, "create", create)
     code, out, err = run_cli(capsys, ["train", "--dataset", small_corpus,
                                       "--model-out", tmp_path / "m.ckpt", *FAST_MODEL])
-    assert (code, out, err) == (1, "", "error: MemoryError\n")
+    assert (code, out, err) == (1, "", "error: training: MemoryError\n")
 
 
 @pytest.mark.parametrize("fold", [1, 2])

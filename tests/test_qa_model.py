@@ -104,8 +104,13 @@ def test_batched_bilstm_matches_per_step_reference():
     table = np.vstack([np.zeros((1, model.input_dim)), rows[:5].reshape(-1, model.input_dim)])
     positions = np.arange(1, 5 * n + 1).reshape(5, n)
     ids = np.where(np.arange(n) < lengths[:, None], positions[[0, 1, 2, 3, 4, 4]], 0)
-    distinct, inverse, (_, _, tokens, where, sizes, keep) = qa_model._bilstm_run(
-        model, lengths, table, ids)
+    # The rows run as ``_forward_batch`` runs them: the distinct rows only,
+    # into a (distinct rows, steps, 2*hidden) buffer, row r from r * steps.
+    keep, inverse = qa_model._distinct_rows(ids)
+    distinct = np.zeros((len(keep), n, 2 * hidden))
+    _, tokens, where, sizes = qa_model._bilstm_run(
+        model, table, ids[keep], lengths[keep], distinct.reshape(-1, 2 * hidden),
+        np.arange(len(keep)) * n)
     assert distinct.shape == (5, n, 2 * hidden)
     e = distinct[inverse]
     for r, length in enumerate(lengths):
@@ -133,6 +138,57 @@ def test_bilstm_rejects_dim_mismatch():
     model = make_model(dim=4)
     with pytest.raises(ValueError, match="dim mismatch"):
         bilstm_forward(model, np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [1, 3, 16])
+def test_lstm_row_states_do_not_depend_on_the_rows_beside_it(hidden, dtype):
+    # BLAS rounds a lone row's matrix-vector product differently from the same
+    # row beside others. A row run alone (a lone row at every step) gets the
+    # same packed states, bit for bit, as beside other rows, including the
+    # steps where it is the only row still running.
+    rng = np.random.default_rng(hidden)
+    model = make_model(dim=6, hidden=hidden, max_len=12)
+    for _ in range(20):
+        lengths = rng.integers(1, 13, size=int(rng.integers(2, 9)))
+        row, _, sizes = qa_model._pack(lengths, 12)
+        x = rng.normal(size=(2, int(sizes.sum()), 6)).astype(dtype)
+        states, _ = qa_model._lstm_run(model.params, x, sizes)
+        assert states.dtype == dtype
+        for r, length in enumerate(lengths.tolist()):
+            mine = row == r  # row r's packed positions, in step order
+            alone, _ = qa_model._lstm_run(model.params, x[:, mine], np.ones(length, dtype=int))
+            assert states[:, mine].tobytes() == alone.tobytes(), (lengths, r)
+
+
+def test_bilstm_run_writes_the_same_bits_into_a_padded_buffer_and_a_flat_store():
+    # One runner serves training's (rows, steps) buffer, row r from r * steps,
+    # and scoring's flat store of real positions, rows run in blocks each cut
+    # to its longest row: every real position gets the same bits, and every
+    # other row of either output stays zero.
+    rng = np.random.default_rng(31)
+    model = make_model(dim=4, hidden=3, max_len=9)
+    table = random_table(rng, 4)
+    lengths = np.array([4, 9, 1, 0, 6, 9, 2])
+    ids = np.where(np.arange(9) < lengths[:, None],
+                   rng.integers(1, VOCAB + 1, size=(len(lengths), 9)), 0)
+    width = 2 * model.config.hidden_size
+    padded = np.zeros((len(lengths), 9, width))
+    qa_model._bilstm_run(model, table, ids, lengths, padded.reshape(-1, width),
+                         np.arange(len(lengths)) * 9)
+    # The store: a zero row, then the rows' real positions with a zero row after each.
+    starts = 1 + np.cumsum(lengths + 1) - (lengths + 1)
+    store = np.zeros((int(starts[-1] + lengths[-1] + 1), width))
+    for block in (slice(0, 3), slice(3, 4), slice(4, 7)):
+        qa_model._bilstm_run(model, table, ids[block, :lengths[block].max()], lengths[block],
+                             store, starts[block])
+    written = np.zeros(len(store), dtype=bool)
+    for r, length in enumerate(lengths.tolist()):
+        assert padded[r, :length].tobytes() == store[starts[r]:starts[r] + length].tobytes()
+        assert not padded[r, length:].any()
+        written[starts[r]:starts[r] + length] = True
+    assert np.count_nonzero(written) == lengths.sum()
+    assert not store[~written].any()
 
 
 # --- attention ----------------------------------------------------------------
@@ -661,10 +717,9 @@ def test_bilstm_output_and_gradient_stay_at_distinct_rows(monkeypatch, case):
     outputs, gradients = [], []
     bilstm_run, lstm_back = qa_model._bilstm_run, qa_model._lstm_back
 
-    def run(*args):
-        e, inverse, cache = bilstm_run(*args)
-        outputs.append(e.shape)
-        return e, inverse, cache
+    def run(model, table, ids, lengths, out, starts):
+        outputs.append((out.shape, starts.tolist()))
+        return bilstm_run(model, table, ids, lengths, out, starts)
 
     def back(params, cache, g_states, *args):
         gradients.append(g_states.shape)
@@ -675,7 +730,9 @@ def test_bilstm_output_and_gradient_stay_at_distinct_rows(monkeypatch, case):
     batch_loss_and_gradients(model, table, bug_ids, desc_ids, labels)
     width = np.count_nonzero(stacked, axis=1).max()
     hidden = model.config.hidden_size
-    assert outputs == [(len(distinct), width, 2 * hidden)]
+    # One row of ``width`` positions per distinct sequence.
+    assert outputs == [((len(distinct) * width, 2 * hidden),
+                        (np.arange(len(distinct)) * width).tolist())]
     assert gradients == [(2, np.count_nonzero(distinct), hidden)]
 
 
